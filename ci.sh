@@ -81,7 +81,7 @@ run_tsan() {
     storage_wal_test
     stream_chunk_test
     stream_chunk_differential_test
-    stream_columnar_test
+    stream_operator_kernel_test
     stream_partition_test
     stream_partitioned_consistency_test
     stream_txn_context_test

@@ -102,21 +102,9 @@ class TableBackend {
   ///   * SkipListBackend  — key order (byte-wise lexicographic).
   ///   * LsmBackend       — key order (newest-wins merge of memtable +
   ///     sealed memtables + SSTables).
+  /// Range reads never come here: `VersionedStore::ScanRangeCommitted`
+  /// serves them from the store-level ordered index over any backend.
   virtual Status Scan(const ScanCallback& callback) const = 0;
-
-  /// Visits live entries with lo <= key < hi in byte-wise key order; an
-  /// empty `hi` means "to the end". Only ordered backends support this —
-  /// the default returns NotSupported so an unordered backend can never
-  /// masquerade as a sorted one by silently full-scanning.
-  virtual Status ScanRange(std::string_view lo, std::string_view hi,
-                           const ScanCallback& callback) const {
-    (void)lo;
-    (void)hi;
-    (void)callback;
-    return Status::NotSupported(
-        "ScanRange requires an ordered backend (skiplist or lsm); '" +
-        std::string(Name()) + "' scans are unordered");
-  }
 
   /// Number of live entries (exact for volatile backends, may count
   /// tombstoned duplicates approximately for LSM).

@@ -23,15 +23,6 @@ class HashTableBackend final : public TableBackend {
   Status Put(std::string_view key, std::string_view value, bool sync) override;
   Status Delete(std::string_view key, bool sync) override;
   Status Scan(const ScanCallback& callback) const override;
-  /// A hash map has no key order to offer; filtering a full scan down to
-  /// [lo, hi) would silently hide an O(n) walk behind a range API, so this
-  /// refuses instead. Pick kSkipList or kLsm for states that need ranges.
-  Status ScanRange(std::string_view, std::string_view,
-                   const ScanCallback&) const override {
-    return Status::NotSupported(
-        "hash backend cannot serve ordered range scans: keys are stored "
-        "unordered; use a skiplist or lsm backend for this state");
-  }
   std::uint64_t ApproximateCount() const override;
   Status Flush() override { return Status::OK(); }
   bool IsPersistent() const override { return false; }

@@ -528,43 +528,6 @@ Status LsmBackend::Scan(const ScanCallback& callback) const {
   return Status::OK();
 }
 
-Status LsmBackend::ScanRange(std::string_view lo, std::string_view hi,
-                             const ScanCallback& callback) const {
-  auto version = CurrentVersion();
-  // Same newest-wins merge as Scan, bounded to [lo, hi). Every source is
-  // sorted, so each one skips forward to `lo` and stops at `hi` instead of
-  // materializing keys outside the range.
-  std::map<std::string, std::optional<std::string>> merged;
-  const auto upsert = [&](std::string_view key, std::string_view value,
-                          bool tombstone) {
-    if (!hi.empty() && key >= hi) return false;  // sorted source: done
-    if (tombstone) {
-      merged[std::string(key)] = std::nullopt;
-    } else {
-      merged[std::string(key)] = std::string(value);
-    }
-    return true;
-  };
-  for (auto it = version->tables.rbegin(); it != version->tables.rend();
-       ++it) {
-    STREAMSI_RETURN_NOT_OK((*it)->Iterate(
-        [&](std::string_view key, std::string_view value, bool tombstone) {
-          if (key < lo) return true;  // not yet in range
-          return upsert(key, value, tombstone);
-        }));
-  }
-  for (auto it = version->sealed.rbegin(); it != version->sealed.rend();
-       ++it) {  // oldest -> newest
-    (*it)->IterateFrom(lo, upsert);
-  }
-  version->mem->IterateFrom(lo, upsert);
-  for (const auto& [key, value] : merged) {
-    if (!value.has_value()) continue;
-    if (!callback(key, *value)) return Status::OK();
-  }
-  return Status::OK();
-}
-
 std::uint64_t LsmBackend::ApproximateCount() const {
   auto version = CurrentVersion();
   std::uint64_t count = version->mem->NodeCount();

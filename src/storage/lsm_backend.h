@@ -55,8 +55,6 @@ class LsmBackend final : public TableBackend {
   Status Put(std::string_view key, std::string_view value, bool sync) override;
   Status Delete(std::string_view key, bool sync) override;
   Status Scan(const ScanCallback& callback) const override;
-  Status ScanRange(std::string_view lo, std::string_view hi,
-                   const ScanCallback& callback) const override;
   std::uint64_t ApproximateCount() const override;
   /// Synchronous barrier: seals the active memtable (if non-empty) and
   /// waits until the background worker has flushed every queued memtable

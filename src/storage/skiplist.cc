@@ -145,22 +145,4 @@ void SkipList::Iterate(
   }
 }
 
-void SkipList::IterateFrom(
-    std::string_view lo,
-    const std::function<bool(std::string_view, std::string_view, bool)>&
-        callback) const {
-  Node* node = FindGreaterOrEqual(lo, nullptr);
-  while (node != nullptr) {
-    std::string value;
-    bool tombstone;
-    {
-      std::lock_guard<SpinLock> guard(node->value_lock);
-      value = node->value;
-      tombstone = node->tombstone;
-    }
-    if (!callback(node->key, value, tombstone)) return;
-    node = node->Next(0);
-  }
-}
-
 }  // namespace streamsi

@@ -46,15 +46,6 @@ class SkipList {
                                         std::string_view value,
                                         bool tombstone)>& callback) const;
 
-  /// Visits entries with key >= `lo` in key order, including tombstones;
-  /// seeks via the skip-list levels rather than walking from the head.
-  /// Return false from the callback to stop (callers bound the upper end
-  /// themselves — the list cannot know the half-open [lo, hi) contract).
-  void IterateFrom(std::string_view lo,
-                   const std::function<bool(std::string_view key,
-                                            std::string_view value,
-                                            bool tombstone)>& callback) const;
-
   /// Number of nodes (tombstones included).
   std::uint64_t NodeCount() const {
     return node_count_.load(std::memory_order_relaxed);

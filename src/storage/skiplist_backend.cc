@@ -37,17 +37,6 @@ Status SkipListBackend::Scan(const ScanCallback& callback) const {
   return status;
 }
 
-Status SkipListBackend::ScanRange(std::string_view lo, std::string_view hi,
-                                  const ScanCallback& callback) const {
-  list_.IterateFrom(lo, [&](std::string_view key, std::string_view value,
-                            bool tombstone) {
-    if (!hi.empty() && key >= hi) return false;
-    if (tombstone) return true;
-    return callback(key, value);
-  });
-  return Status::OK();
-}
-
 std::uint64_t SkipListBackend::ApproximateCount() const {
   return live_count_.load(std::memory_order_relaxed);
 }

@@ -19,8 +19,6 @@ class SkipListBackend final : public TableBackend {
   Status Put(std::string_view key, std::string_view value, bool sync) override;
   Status Delete(std::string_view key, bool sync) override;
   Status Scan(const ScanCallback& callback) const override;
-  Status ScanRange(std::string_view lo, std::string_view hi,
-                   const ScanCallback& callback) const override;
   std::uint64_t ApproximateCount() const override;
   Status Flush() override { return Status::OK(); }
   bool IsPersistent() const override { return false; }

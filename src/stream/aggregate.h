@@ -77,57 +77,39 @@ WindowAggregate<T, NumericSummary>* MakeSummaryAggregate(
 
 /// Per-key running aggregate: emits (key, aggregate) after every update.
 ///
-/// Chunk handling comes in two tiers. The scalar chunk path hoists key
-/// extraction into its own pass per chunk (exactly one extractor call per
-/// tuple — pinned by a regression test) before folding. The VECTORIZED
-/// path (built via MakeVectorizedGroupedAggregate) hash-partitions each
-/// chunk in one software-pipelined pass: keys and group hashes are
-/// extracted a few tuples ahead of their probe-and-fold (one extractor
-/// call per tuple), slots of an open-addressed accumulator table are
-/// prefetched off those hashes, and runs of equal keys reuse the resolved
-/// slot — no per-tuple std::function dispatch, no per-tuple unordered_map
-/// probe, and ONE random access per tuple (the accumulator lives inline
-/// in the table slot, not behind a map-node pointer). Both paths produce the exact
-/// per-update (key, aggregate) output sequence of the per-tuple engine.
-/// In kernel mode the flat table is the authoritative state — the
-/// per-element channel folds into the same slots — and `groups()`
-/// materializes it into the map view on demand.
+/// The templated constructor captures the caller's key extractor and folder
+/// by value, so both are called inline. All state lives in a flat
+/// open-addressed accumulator table (`AccSlot{hash, key, acc}` — ONE random
+/// access per tuple); the per-element channel folds into the same slots, so
+/// mixed chunk/element delivery never splits state, and `groups()`
+/// materializes the map view on demand.
+///
+/// Each chunk goes through one software-pipelined pass: keys and group
+/// hashes are extracted a few tuples ahead of their probe-and-fold (exactly
+/// ONE extractor call per tuple), the table slot is prefetched off that
+/// hash, and runs of equal keys reuse the resolved slot. The output is the
+/// per-tuple engine's exact per-update (key, aggregate) sequence.
 template <typename T, typename K, typename Acc>
 class GroupedAggregate : public OperatorBase,
                          public Publisher<std::pair<K, Acc>> {
  public:
-  using KeyExtractor = std::function<K(const T&)>;
-  using Folder = std::function<void(Acc&, const T&)>;
-
-  GroupedAggregate(Publisher<T>* input, KeyExtractor key, Acc init,
-                   Folder folder)
-      : key_(std::move(key)), init_(std::move(init)), folder_(std::move(folder)) {
-    input->SubscribeWith(
-        [this](const StreamElement<T>& e) { OnElement(e); },
-        [this](const ChunkView<T>& view) { ScalarChunk(view); });
-  }
-
-  /// Kernelized constructor (use MakeVectorizedGroupedAggregate): `key`
-  /// and `fold` are copied as inlinable functors into the chunk kernel;
-  /// the std::function members still serve the per-tuple channel.
-  struct KernelTag {};
   template <typename KeyFn, typename FoldFn>
-  GroupedAggregate(KernelTag, Publisher<T>* input, KeyFn key, Acc init,
-                   FoldFn fold)
-      : key_(key), init_(std::move(init)), folder_(fold) {
+  GroupedAggregate(Publisher<T>* input, KeyFn key, Acc init, FoldFn fold)
+      : init_(std::move(init)) {
+    static_assert(std::is_invocable_r_v<K, const KeyFn&, const T&>,
+                  "KeyFn must map const T& -> K");
     input->SubscribeWith(
         [this, key, fold](const StreamElement<T>& e) {
-          OnElementKernel(e, key, fold);
+          OnElement(e, key, fold);
         },
         [this, key, fold](const ChunkView<T>& view) {
-          KernelChunk(view, key, fold);
+          OnChunk(view, key, fold);
         });
   }
 
-  /// Current state of all groups. In kernel mode the flat accumulator
-  /// table holds the live state; it is materialized into the map view
-  /// here (and only here), so the accessor stays cheap when nothing
-  /// changed and costs one pass over the table after kernel updates.
+  /// Current state of all groups, materialized from the accumulator table
+  /// on demand: cheap when nothing changed, one pass over the table after
+  /// updates.
   const std::unordered_map<K, Acc>& groups() const {
     if (groups_dirty_) {
       for (const AccSlot& s : index_) {
@@ -142,19 +124,16 @@ class GroupedAggregate : public OperatorBase,
 
   OperatorStats stats() const override {
     OperatorStats s;
-    s.kernel_chunks = kernel_chunks_.load(std::memory_order_relaxed);
-    s.fallback_chunks = fallback_chunks_.load(std::memory_order_relaxed);
-    s.kernel_tuples_in = kernel_tuples_.load(std::memory_order_relaxed);
+    s.kernel_chunks = chunks_.load(std::memory_order_relaxed);
+    s.kernel_tuples_in = tuples_.load(std::memory_order_relaxed);
     s.kernel_tuples_out = s.kernel_tuples_in;  // one update pair per tuple
-    s.chunks = s.kernel_chunks + s.fallback_chunks;
+    s.chunks = s.kernel_chunks;
     return s;
   }
 
  private:
-  using GroupNode = std::pair<const K, Acc>;
-
-  /// One group of the kernel-mode flat table: hash + key + live
-  /// accumulator, all inline so a probe touches exactly one slot.
+  /// One group of the flat table: hash + key + live accumulator, all
+  /// inline so a probe touches exactly one slot.
   struct AccSlot {
     std::size_t hash = 0;
     K key{};
@@ -162,25 +141,9 @@ class GroupedAggregate : public OperatorBase,
     bool used = false;
   };
 
-  void OnElement(const StreamElement<T>& e) {
-    if (e.is_data()) {
-      const K k = key_(e.data());
-      auto [it, inserted] = groups_.try_emplace(k, init_);
-      (void)inserted;
-      folder_(it->second, e.data());
-      this->Publish(StreamElement<std::pair<K, Acc>>(
-          std::make_pair(k, it->second), e.ts()));
-    } else {
-      this->Publish(e.template ForwardPunctuation<std::pair<K, Acc>>());
-    }
-  }
-
-  /// Per-element channel of a kernel-mode operator: folds into the flat
-  /// accumulator table (the kernel-mode source of truth) so mixed
-  /// chunk/element delivery never splits state across two tables.
   template <typename KeyFn, typename FoldFn>
-  void OnElementKernel(const StreamElement<T>& e, const KeyFn& key,
-                       const FoldFn& fold) {
+  void OnElement(const StreamElement<T>& e, const KeyFn& key,
+                 const FoldFn& fold) {
     if (!e.is_data()) {
       this->Publish(e.template ForwardPunctuation<std::pair<K, Acc>>());
       return;
@@ -193,39 +156,18 @@ class GroupedAggregate : public OperatorBase,
         std::make_pair(slot->key, slot->acc), e.ts()));
   }
 
-  /// Scalar chunk path: extraction hoisted into one pass per chunk, then
-  /// a fold pass — exactly one extractor call per tuple.
-  void ScalarChunk(const ChunkView<T>& view) {
-    const std::size_t n = view.size();
-    if (n == 0) return;
-    fallback_chunks_.fetch_add(1, std::memory_order_relaxed);
-    if (!scratch_ || scratch_->capacity() < n) scratch_.emplace(n);
-    keys_.clear();
-    for (std::size_t i = 0; i < n; ++i) keys_.push_back(key_(view[i]));
-    for (std::size_t i = 0; i < n; ++i) {
-      auto [it, inserted] = groups_.try_emplace(keys_[i], init_);
-      (void)inserted;
-      folder_(it->second, view[i]);
-      scratch_->Append(std::make_pair(keys_[i], it->second), view.ts(i));
-    }
-    this->PublishChunk(scratch_->view());
-    scratch_->Clear();
-  }
-
-  /// Vectorized chunk path: one software-pipelined pass. Tuple i+D's key
-  /// and group hash are extracted D iterations ahead of its fold (still
-  /// exactly ONE extractor call per tuple — pinned by a regression test)
-  /// and its table slot prefetched, so the dependent random probe load is
-  /// already in flight when the fold reaches it. The accumulator lives
-  /// inline in the slot (one random access per tuple), and a run of equal
-  /// keys reuses the resolved slot without re-probing.
+  /// Software-pipelined chunk pass. Tuple i+D's key and group hash are
+  /// extracted D iterations ahead of its fold and its table slot
+  /// prefetched, so the dependent random probe load is already in flight
+  /// when the fold reaches it. The accumulator lives inline in the slot,
+  /// and a run of equal keys reuses the resolved slot without re-probing.
   template <typename KeyFn, typename FoldFn>
-  void KernelChunk(const ChunkView<T>& view, const KeyFn& key,
-                   const FoldFn& fold) {
+  void OnChunk(const ChunkView<T>& view, const KeyFn& key,
+               const FoldFn& fold) {
     const std::size_t n = view.size();
     if (n == 0) return;
-    kernel_chunks_.fetch_add(1, std::memory_order_relaxed);
-    kernel_tuples_.fetch_add(n, std::memory_order_relaxed);
+    chunks_.fetch_add(1, std::memory_order_relaxed);
+    tuples_.fetch_add(n, std::memory_order_relaxed);
     if (!scratch_ || scratch_->capacity() < n) scratch_.emplace(n);
     constexpr std::size_t D = 32;  // pipeline depth (power of two)
     K kq[D];
@@ -305,8 +247,8 @@ class GroupedAggregate : public OperatorBase,
     this->PublishChunk(scratch_->view());
   }
 
-  /// Open-addressed flat accumulator table: kernel-mode groups live inline
-  /// in the slots (one random access per probe, no map-node indirection).
+  /// Finds `k`'s slot in the open-addressed table, inserting an `init_`
+  /// accumulator on a miss (grows at 3/4 load).
   AccSlot* ProbeOrInsert(const K& k, std::size_t h) {
     if (index_.empty() || (index_used_ + 1) * 4 > index_.size() * 3) {
       GrowIndex();
@@ -341,38 +283,16 @@ class GroupedAggregate : public OperatorBase,
     }
   }
 
-  KeyExtractor key_;
   Acc init_;
-  Folder folder_;
-  /// Scalar/per-tuple-mode state; in kernel mode it is only the lazily
-  /// materialized view served by groups().
+  std::vector<AccSlot> index_;  ///< accumulator table: the operator's state
+  std::size_t index_used_ = 0;
+  /// Lazily materialized view of index_, served by groups().
   mutable std::unordered_map<K, Acc> groups_;
   mutable bool groups_dirty_ = false;
   std::optional<Chunk<std::pair<K, Acc>>> scratch_;  ///< delivering-thread only
-  std::vector<K> keys_;              ///< scalar-path scratch; delivering-thread only
-  std::vector<AccSlot> index_;       ///< kernel-mode accumulator table
-  std::size_t index_used_ = 0;
-  std::atomic<std::uint64_t> kernel_chunks_{0};
-  std::atomic<std::uint64_t> fallback_chunks_{0};
-  std::atomic<std::uint64_t> kernel_tuples_{0};
+  std::atomic<std::uint64_t> chunks_{0};
+  std::atomic<std::uint64_t> tuples_{0};
 };
-
-/// Builds a GroupedAggregate whose chunk path hash-partitions each chunk
-/// once (extract / hash / probe-and-fold passes) instead of probing the
-/// group map per tuple. `key` and `fold` must be cheap, capture-light
-/// functors.
-template <typename T, typename K, typename Acc, typename KeyFn,
-          typename FoldFn>
-GroupedAggregate<T, K, Acc>* MakeVectorizedGroupedAggregate(Publisher<T>* input,
-                                                            KeyFn key,
-                                                            Acc init,
-                                                            FoldFn fold) {
-  static_assert(std::is_invocable_r_v<K, KeyFn, const T&>,
-                "KeyFn must map const T& -> K");
-  return new GroupedAggregate<T, K, Acc>(
-      typename GroupedAggregate<T, K, Acc>::KernelTag{}, input, key,
-      std::move(init), fold);
-}
 
 }  // namespace streamsi
 

@@ -36,8 +36,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <tuple>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -56,11 +54,11 @@ class Chunk;
 /// A view is either DENSE (rows [0, size) of the base arrays, in order) or
 /// carries a SELECTION VECTOR: `size()` is then the number of selected
 /// rows and element i resolves to base row `selection()[i]`. Selection
-/// views are how a vectorized filter ships survivors without copying a
-/// byte of tuple data — the kernel writes surviving row indices into an
-/// operator-owned selection array and the view indirects through it.
-/// `data()`/`ts_data()` expose the UNSELECTED base arrays; kernels must
-/// check `dense()` before treating them as the logical sequence.
+/// views are how Where ships survivors without copying a byte of tuple
+/// data — it writes surviving row indices into an operator-owned selection
+/// array and the view indirects through it. `data()`/`ts_data()` expose
+/// the UNSELECTED base arrays; chunk loops must check `dense()` before
+/// treating them as the logical sequence.
 template <typename T>
 class ChunkView {
  public:
@@ -370,330 +368,6 @@ class ChunkBuilder {
   ChunkRef<T> current_;
   std::chrono::steady_clock::time_point opened_at_{};
 };
-
-// ---------------------------------------------------------------------------
-// Columnar (SoA) chunks
-// ---------------------------------------------------------------------------
-//
-// Row chunks keep tuples whole; a vectorized kernel wants each FIELD
-// contiguous so the predicate/projection loop touches one cache-friendly
-// array. ColumnarTraits<T> describes how to decompose T into per-field
-// columns: arithmetic types are trivially one column (the row array IS the
-// column), struct types opt in with STREAMSI_COLUMNAR_FIELDS(Type,
-// &Type::a, &Type::b, ...). Types without a trait simply have
-// kColumnar == false and every columnar factory refuses them at compile
-// time — row-typed operators keep working untouched (the transparent
-// fallback).
-
-/// Default: no columnar decomposition registered.
-template <typename T, typename Enable = void>
-struct ColumnarTraits {
-  static constexpr bool kColumnar = false;
-};
-
-/// Arithmetic scalars: the tuple is its own (single) column.
-template <typename T>
-struct ColumnarTraits<T, std::enable_if_t<std::is_arithmetic_v<T>>> {
-  static constexpr bool kColumnar = true;
-  static constexpr std::size_t kFields = 1;
-  using Columns = std::tuple<std::vector<T>>;
-
-  static void Reserve(Columns& c, std::size_t n) { std::get<0>(c).reserve(n); }
-  static void Clear(Columns& c) { std::get<0>(c).clear(); }
-  static void Scatter(Columns& c, const T* rows, std::size_t n) {
-    std::get<0>(c).insert(std::get<0>(c).end(), rows, rows + n);
-  }
-  static void ScatterOne(Columns& c, const T& row) {
-    std::get<0>(c).push_back(row);
-  }
-  static void Gather(const Columns& c, std::size_t i, T* out) {
-    *out = std::get<0>(c)[i];
-  }
-  /// Field accessor for scalar operators (the row IS column 0).
-  template <std::size_t I>
-  static const T& Get(const T& row) {
-    static_assert(I == 0, "arithmetic tuples have exactly one column");
-    return row;
-  }
-};
-
-/// SoA decomposition over a member-pointer pack: one std::vector per
-/// field, scattered/gathered with one tight per-field loop each (the loop
-/// body is a single strided load + contiguous store — auto-vectorizable).
-template <typename T, auto... Members>
-struct SoaLayout {
-  static constexpr bool kColumnar = true;
-  static constexpr std::size_t kFields = sizeof...(Members);
-  static constexpr auto kMembers = std::tuple{Members...};
-  using Columns = std::tuple<std::vector<
-      std::remove_cv_t<std::remove_reference_t<decltype(std::declval<const T&>().*
-                                                        Members)>>>...>;
-
-  static void Reserve(Columns& c, std::size_t n) {
-    std::apply([n](auto&... col) { (col.reserve(n), ...); }, c);
-  }
-  static void Clear(Columns& c) {
-    std::apply([](auto&... col) { (col.clear(), ...); }, c);
-  }
-  static void Scatter(Columns& c, const T* rows, std::size_t n) {
-    ScatterImpl(c, rows, n, std::make_index_sequence<kFields>{});
-  }
-  static void ScatterOne(Columns& c, const T& row) {
-    ScatterOneImpl(c, row, std::make_index_sequence<kFields>{});
-  }
-  static void Gather(const Columns& c, std::size_t i, T* out) {
-    GatherImpl(c, i, out, std::make_index_sequence<kFields>{});
-  }
-  /// Field accessor for scalar operators (e.g. ColumnarWhere's per-tuple
-  /// fallback): reads field I of one row.
-  template <std::size_t I>
-  static const auto& Get(const T& row) {
-    return row.*std::get<I>(kMembers);
-  }
-
- private:
-  template <std::size_t I>
-  static void ScatterField(Columns& c, const T* rows, std::size_t n) {
-    auto& col = std::get<I>(c);
-    constexpr auto member = std::get<I>(kMembers);
-    const std::size_t base = col.size();
-    col.resize(base + n);
-    auto* out = col.data() + base;
-    for (std::size_t i = 0; i < n; ++i) out[i] = rows[i].*member;
-  }
-  template <std::size_t... Is>
-  static void ScatterImpl(Columns& c, const T* rows, std::size_t n,
-                          std::index_sequence<Is...>) {
-    (ScatterField<Is>(c, rows, n), ...);
-  }
-  template <std::size_t... Is>
-  static void ScatterOneImpl(Columns& c, const T& row,
-                             std::index_sequence<Is...>) {
-    (std::get<Is>(c).push_back(row.*std::get<Is>(kMembers)), ...);
-  }
-  template <std::size_t... Is>
-  static void GatherImpl(const Columns& c, std::size_t i, T* out,
-                         std::index_sequence<Is...>) {
-    ((out->*std::get<Is>(kMembers) = std::get<Is>(c)[i]), ...);
-  }
-};
-
-/// Registers a struct's columnar decomposition:
-///   STREAMSI_COLUMNAR_FIELDS(Trade, &Trade::price, &Trade::qty);
-#define STREAMSI_COLUMNAR_FIELDS(Type, ...)                         \
-  template <>                                                       \
-  struct ColumnarTraits<Type> : ::streamsi::SoaLayout<Type, __VA_ARGS__> {}
-
-/// Fixed-capacity columnar carrier: per-field contiguous arrays + the
-/// shared timestamp array + a selection vector, all reserved once, so a
-/// reused columnar chunk is allocation-free at steady state (same
-/// discipline as Chunk<T>).
-///
-/// Lifecycle per input chunk: ScatterFrom() decomposes the rows, a kernel
-/// runs over one column (column<I>()) and may write surviving row indices
-/// through selection_data()/SetSelection(), and the result leaves either
-/// as a selection over the original row view (zero copy) or via
-/// GatherInto() — the row-chunk adapter for consumers that want tuples
-/// back.
-template <typename T>
-class ColumnarChunk {
-  static_assert(ColumnarTraits<T>::kColumnar,
-                "T has no columnar decomposition; register one with "
-                "STREAMSI_COLUMNAR_FIELDS or use a row Chunk<T>");
-
- public:
-  using Traits = ColumnarTraits<T>;
-
-  explicit ColumnarChunk(std::size_t capacity) : capacity_(capacity) {
-    assert(capacity > 0);
-    Traits::Reserve(columns_, capacity);
-    ts_.reserve(capacity);
-    selection_.resize(capacity);
-  }
-
-  std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return ts_.size(); }
-  bool empty() const { return ts_.empty(); }
-  bool full() const { return ts_.size() >= capacity_; }
-
-  /// Decomposes a row view into the per-field columns (one tight loop per
-  /// field for dense input; selected input compacts row by row).
-  void ScatterFrom(const ChunkView<T>& view) {
-    assert(size() + view.size() <= capacity_);
-    if (view.dense()) {
-      Traits::Scatter(columns_, view.data(), view.size());
-      ts_.insert(ts_.end(), view.ts_data(), view.ts_data() + view.size());
-      return;
-    }
-    for (std::size_t i = 0; i < view.size(); ++i) {
-      Traits::ScatterOne(columns_, view[i]);
-      ts_.push_back(view.ts(i));
-    }
-  }
-
-  void Append(const T& row, Timestamp ts) {
-    assert(!full());
-    Traits::ScatterOne(columns_, row);
-    ts_.push_back(ts);
-  }
-
-  /// Contiguous column I — the array a kernel loops over.
-  template <std::size_t I>
-  const auto* column() const {
-    return std::get<I>(columns_).data();
-  }
-
-  const Timestamp* ts_data() const { return ts_.data(); }
-
-  /// Kernel-writable selection scratch (capacity() slots).
-  std::uint32_t* selection_data() { return selection_.data(); }
-  /// Declares that the first `count` selection slots are the survivors.
-  void SetSelection(std::size_t count) {
-    assert(count <= size());
-    selected_ = count;
-    has_selection_ = true;
-  }
-  bool has_selection() const { return has_selection_; }
-  /// Rows surviving the selection (size() when no selection was set).
-  std::size_t selected_size() const {
-    return has_selection_ ? selected_ : size();
-  }
-  const std::uint32_t* selection() const {
-    return has_selection_ ? selection_.data() : nullptr;
-  }
-
-  /// Row-chunk adapter: reassembles the (selected) rows into `out` — the
-  /// transparent fallback for row-typed consumers.
-  void GatherInto(Chunk<T>& out) const {
-    if (has_selection_) {
-      for (std::size_t i = 0; i < selected_; ++i) {
-        const std::size_t row = selection_[i];
-        T tuple;
-        Traits::Gather(columns_, row, &tuple);
-        out.Append(std::move(tuple), ts_[row]);
-      }
-      return;
-    }
-    for (std::size_t i = 0; i < ts_.size(); ++i) {
-      T tuple;
-      Traits::Gather(columns_, i, &tuple);
-      out.Append(std::move(tuple), ts_[i]);
-    }
-  }
-
-  void Clear() {
-    Traits::Clear(columns_);
-    ts_.clear();
-    selected_ = 0;
-    has_selection_ = false;
-  }
-
- private:
-  std::size_t capacity_;
-  typename Traits::Columns columns_;
-  std::vector<Timestamp> ts_;
-  std::vector<std::uint32_t> selection_;  ///< capacity() slots, kernel scratch
-  std::size_t selected_ = 0;
-  bool has_selection_ = false;
-};
-
-template <typename T>
-class ColumnarChunkPool;
-
-/// Unique ownership of one pooled columnar chunk — mirrors ChunkRef<T>.
-template <typename T>
-class ColumnarChunkRef {
- public:
-  ColumnarChunkRef() = default;
-  ColumnarChunkRef(ColumnarChunk<T>* chunk,
-                   std::shared_ptr<ColumnarChunkPool<T>> pool)
-      : chunk_(chunk), pool_(std::move(pool)) {}
-  ~ColumnarChunkRef() { Release(); }
-
-  ColumnarChunkRef(const ColumnarChunkRef&) = delete;
-  ColumnarChunkRef& operator=(const ColumnarChunkRef&) = delete;
-  ColumnarChunkRef(ColumnarChunkRef&& other) noexcept
-      : chunk_(other.chunk_), pool_(std::move(other.pool_)) {
-    other.chunk_ = nullptr;
-  }
-  ColumnarChunkRef& operator=(ColumnarChunkRef&& other) noexcept {
-    if (this != &other) {
-      Release();
-      chunk_ = other.chunk_;
-      pool_ = std::move(other.pool_);
-      other.chunk_ = nullptr;
-    }
-    return *this;
-  }
-
-  explicit operator bool() const { return chunk_ != nullptr; }
-  ColumnarChunk<T>* operator->() const { return chunk_; }
-  ColumnarChunk<T>& operator*() const { return *chunk_; }
-  ColumnarChunk<T>* get() const { return chunk_; }
-
-  void Release();
-
- private:
-  ColumnarChunk<T>* chunk_ = nullptr;
-  std::shared_ptr<ColumnarChunkPool<T>> pool_;
-};
-
-/// Free list of reusable columnar chunks — same first-fit / clear-on-return
-/// discipline and allocated()/reused() observability as ChunkPool<T>.
-template <typename T>
-class ColumnarChunkPool
-    : public std::enable_shared_from_this<ColumnarChunkPool<T>> {
- public:
-  static std::shared_ptr<ColumnarChunkPool<T>> Create() {
-    return std::make_shared<ColumnarChunkPool<T>>();
-  }
-
-  ColumnarChunkRef<T> Acquire(std::size_t capacity) {
-    {
-      std::lock_guard<SpinLock> guard(lock_);
-      for (std::size_t i = 0; i < free_.size(); ++i) {
-        if (free_[i]->capacity() >= capacity) {
-          ColumnarChunk<T>* chunk = free_[i].release();
-          free_[i] = std::move(free_.back());
-          free_.pop_back();
-          reused_.fetch_add(1, std::memory_order_relaxed);
-          return ColumnarChunkRef<T>(chunk, this->shared_from_this());
-        }
-      }
-    }
-    allocated_.fetch_add(1, std::memory_order_relaxed);
-    return ColumnarChunkRef<T>(new ColumnarChunk<T>(capacity),
-                               this->shared_from_this());
-  }
-
-  void Release(ColumnarChunk<T>* chunk) {
-    chunk->Clear();
-    std::lock_guard<SpinLock> guard(lock_);
-    free_.emplace_back(chunk);
-  }
-
-  std::uint64_t allocated() const {
-    return allocated_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t reused() const {
-    return reused_.load(std::memory_order_relaxed);
-  }
-
- private:
-  SpinLock lock_;
-  std::vector<std::unique_ptr<ColumnarChunk<T>>> free_;
-  std::atomic<std::uint64_t> allocated_{0};
-  std::atomic<std::uint64_t> reused_{0};
-};
-
-template <typename T>
-void ColumnarChunkRef<T>::Release() {
-  if (chunk_ != nullptr) {
-    pool_->Release(chunk_);
-    chunk_ = nullptr;
-  }
-  pool_.reset();
-}
 
 }  // namespace streamsi
 

@@ -49,12 +49,13 @@ struct OperatorStats {
   std::uint64_t flush_timeout = 0;   ///< flushes forced by linger expiry
   std::uint64_t misaligned = 0;      ///< merge boundary-misalignment recoveries
 
-  // Vectorized-kernel observability: a kernelized operator counts every
-  // chunk it ran through its columnar/vectorized kernel vs the per-tuple
-  // scalar fallback, so a silently-degraded fallback path (e.g. selected
-  // input reaching a dense-only kernel) shows up in StatsReport().
-  std::uint64_t kernel_chunks = 0;      ///< chunks through the kernel
-  std::uint64_t fallback_chunks = 0;    ///< chunks on the scalar fallback
+  // Chunk-loop observability: an operator counts every chunk its tight
+  // chunk loop absorbed vs the chunks it had to finish per tuple (ToTable
+  // after a failed write), so a silently-degraded path shows up in
+  // StatsReport(). Where, Map and GroupedAggregate have one chunk path and
+  // report every chunk as a kernel chunk.
+  std::uint64_t kernel_chunks = 0;      ///< chunks through the chunk loop
+  std::uint64_t fallback_chunks = 0;    ///< chunks finished per tuple
   std::uint64_t kernel_tuples_in = 0;   ///< tuples entering the kernel
   std::uint64_t kernel_tuples_out = 0;  ///< tuples surviving the kernel
 
@@ -73,7 +74,7 @@ struct OperatorStats {
            static_cast<double>(kernel_tuples_in);
   }
 
-  /// Fraction of chunk deliveries that took the vectorized kernel.
+  /// Fraction of chunk deliveries that took the chunk loop.
   double kernel_hit_ratio() const {
     const std::uint64_t total = kernel_chunks + fallback_chunks;
     if (total == 0) return 0.0;

@@ -1,24 +1,24 @@
 // Basic stream operators: Map, Where, ForEach, Collect, Print.
 // Punctuations flow through all of them unchanged.
 //
-// Chunk fast paths: Map, Where, ForEach and Collect implement OnChunk —
-// one virtual-free tight loop per chunk instead of one std::function
-// dispatch per tuple. Where forwards an all-pass chunk as the original
-// view (zero copy) and compacts survivors into a scratch chunk otherwise;
-// Map transforms into a scratch chunk. Scratch chunks are owned by the
-// operator and reused — safe because chunk delivery is single-threaded
-// per operator (the same contract per-tuple stateful operators rely on).
-//
-// Vectorized kernels: Where and Map optionally carry a chunk-granular
-// kernel (one std::function dispatch per CHUNK wrapping an inlined tight
-// loop over the contiguous tuple array — auto-vectorizable, no per-tuple
-// dispatch at all). A kernelized Where emits survivors as a SELECTION
-// VECTOR over the original chunk, so a partial-pass chunk ships with zero
-// tuple copies. Build them with MakeVectorizedWhere / MakeVectorizedMap,
-// or filter on one field of a columnar-registered struct with
-// ColumnarWhere. Kernels require dense input; selected input falls back
-// to the scalar path and the kernel_chunks/fallback_chunks counters in
-// OperatorStats make the split observable.
+// Chunk paths: Map, Where, ForEach and Collect implement OnChunk — one
+// std::function dispatch per chunk instead of one per tuple. Map and Where
+// take the caller's callable through a templated constructor and capture it
+// by value in their subscriber lambdas, so the chunk loop calls it inline
+// (a lambda predicate compiles to a tight, auto-vectorizable loop; a
+// std::function argument still works and costs one indirect call per
+// tuple). Each operator has exactly one chunk body, specialized on the
+// view's density:
+//   * Where writes survivors' BASE row indices into an operator-owned
+//     selection vector and publishes a selection view over the input's
+//     arrays — zero tuple copies, also for selected input (the indices
+//     compose). An all-pass chunk is forwarded by reference.
+//   * Map writes its outputs into an operator-owned array. Dense input
+//     shares the input's timestamp array; selected input copies only the
+//     selected timestamps.
+// Scratch arrays are reused across chunks — safe because chunk delivery is
+// single-threaded per operator (the contract per-tuple stateful operators
+// rely on) and a published view only lives for the downstream call.
 
 #ifndef STREAMSI_STREAM_OPS_H_
 #define STREAMSI_STREAM_OPS_H_
@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <iostream>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <type_traits>
 #include <vector>
@@ -37,281 +36,143 @@
 
 namespace streamsi {
 
-/// Element-wise transformation In -> Out.
+/// Element-wise transformation In -> Out (Out must be default-constructible:
+/// the chunk path overwrites a reused output array).
 template <typename In, typename Out>
 class Map : public OperatorBase, public Publisher<Out> {
  public:
-  /// Vectorized projection kernel: transforms `n` contiguous rows into
-  /// `out` in one tight loop.
-  using MapKernel =
-      std::function<void(const In* data, std::size_t n, Out* out)>;
-
-  Map(Publisher<In>* input, std::function<Out(const In&)> fn)
-      : Map(input, std::move(fn), nullptr) {}
-
-  Map(Publisher<In>* input, std::function<Out(const In&)> fn,
-      MapKernel kernel)
-      : fn_(std::move(fn)), kernel_(std::move(kernel)) {
+  template <typename Fn>
+  Map(Publisher<In>* input, Fn fn) {
+    static_assert(std::is_invocable_r_v<Out, const Fn&, const In&>,
+                  "Fn must map const In& -> Out");
     input->SubscribeWith(
-        [this](const StreamElement<In>& e) {
+        [this, fn](const StreamElement<In>& e) {
           if (e.is_data()) {
-            this->Publish(StreamElement<Out>(fn_(e.data()), e.ts()));
+            this->Publish(StreamElement<Out>(fn(e.data()), e.ts()));
           } else {
             this->Publish(e.template ForwardPunctuation<Out>());
           }
         },
-        [this](const ChunkView<In>& view) { OnChunk(view); });
+        [this, fn](const ChunkView<In>& view) { OnChunk(view, fn); });
   }
 
   std::string_view name() const override { return "Map"; }
 
   OperatorStats stats() const override {
     OperatorStats s;
-    s.kernel_chunks = kernel_chunks_.load(std::memory_order_relaxed);
-    s.fallback_chunks = fallback_chunks_.load(std::memory_order_relaxed);
-    s.kernel_tuples_in = kernel_tuples_.load(std::memory_order_relaxed);
+    s.kernel_chunks = chunks_.load(std::memory_order_relaxed);
+    s.kernel_tuples_in = tuples_.load(std::memory_order_relaxed);
     s.kernel_tuples_out = s.kernel_tuples_in;  // projections are 1:1
-    s.chunks = s.kernel_chunks + s.fallback_chunks;
+    s.chunks = s.kernel_chunks;
     return s;
   }
 
  private:
-  void OnChunk(const ChunkView<In>& view) {
-    if (kernel_ && view.dense() && !view.empty()) {
-      if (out_.size() < view.size()) out_.resize(view.size());
-      kernel_(view.data(), view.size(), out_.data());
-      kernel_chunks_.fetch_add(1, std::memory_order_relaxed);
-      kernel_tuples_.fetch_add(view.size(), std::memory_order_relaxed);
-      // The output shares the input's timestamp array — no ts copy either.
-      this->PublishChunk(
-          ChunkView<Out>(out_.data(), view.ts_data(), view.size()));
-      return;
+  template <typename Fn>
+  void OnChunk(const ChunkView<In>& view, const Fn& fn) {
+    const std::size_t n = view.size();
+    if (n == 0) return;
+    if (out_.size() < n) out_.resize(n);
+    Out* out = out_.data();
+    const In* rows = view.data();
+    const Timestamp* ts = view.ts_data();
+    const std::uint32_t* sel = view.selection();
+    if (sel != nullptr && ts_.size() < n) ts_.resize(n);
+    const auto run = [&](auto is_dense) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if constexpr (decltype(is_dense)::value) {
+          out[i] = fn(rows[i]);
+        } else {
+          const std::uint32_t base = sel[i];
+          out[i] = fn(rows[base]);
+          ts_[i] = ts[base];
+        }
+      }
+    };
+    if (sel == nullptr) {
+      run(std::true_type{});
+    } else {
+      run(std::false_type{});
+      ts = ts_.data();
     }
-    fallback_chunks_.fetch_add(1, std::memory_order_relaxed);
-    if (!scratch_ || scratch_->capacity() < view.size()) {
-      scratch_.emplace(view.size());
-    }
-    for (std::size_t i = 0; i < view.size(); ++i) {
-      scratch_->Append(fn_(view[i]), view.ts(i));
-    }
-    this->PublishChunk(scratch_->view());
-    scratch_->Clear();
+    chunks_.fetch_add(1, std::memory_order_relaxed);
+    tuples_.fetch_add(n, std::memory_order_relaxed);
+    this->PublishChunk(ChunkView<Out>(out, ts, n));
   }
 
-  std::function<Out(const In&)> fn_;
-  MapKernel kernel_;
-  std::vector<Out> out_;               ///< kernel output; delivering-thread only
-  std::optional<Chunk<Out>> scratch_;  ///< delivering-thread only
-  std::atomic<std::uint64_t> kernel_chunks_{0};
-  std::atomic<std::uint64_t> fallback_chunks_{0};
-  std::atomic<std::uint64_t> kernel_tuples_{0};
+  std::vector<Out> out_;       ///< output rows; delivering-thread only
+  std::vector<Timestamp> ts_;  ///< selected-input timestamps; same
+  std::atomic<std::uint64_t> chunks_{0};
+  std::atomic<std::uint64_t> tuples_{0};
 };
-
-/// Builds a Map whose chunk path runs `fn` as one tight loop per chunk
-/// (one dispatch per chunk instead of one per tuple). `fn` must be a
-/// cheap, capture-light functor — it is copied into both the kernel and
-/// the per-tuple fallback.
-template <typename In, typename Out, typename Fn>
-Map<In, Out>* MakeVectorizedMap(Publisher<In>* input, Fn fn) {
-  static_assert(std::is_invocable_r_v<Out, Fn, const In&>,
-                "Fn must map const In& -> Out");
-  typename Map<In, Out>::MapKernel kernel =
-      [fn](const In* data, std::size_t n, Out* out) {
-        for (std::size_t i = 0; i < n; ++i) out[i] = fn(data[i]);
-      };
-  return new Map<In, Out>(
-      input, [fn](const In& v) { return fn(v); }, std::move(kernel));
-}
 
 /// Predicate filter.
 template <typename T>
 class Where : public OperatorBase, public Publisher<T> {
  public:
-  /// Vectorized filter kernel: evaluates the predicate over `n` contiguous
-  /// rows, writes surviving row indices into `sel_out` and returns the
-  /// survivor count.
-  using FilterKernel = std::function<std::size_t(
-      const T* data, std::size_t n, std::uint32_t* sel_out)>;
-
-  Where(Publisher<T>* input, std::function<bool(const T&)> predicate)
-      : Where(input, std::move(predicate), nullptr) {}
-
-  Where(Publisher<T>* input, std::function<bool(const T&)> predicate,
-        FilterKernel kernel)
-      : predicate_(std::move(predicate)), kernel_(std::move(kernel)) {
+  template <typename Pred>
+  Where(Publisher<T>* input, Pred pred) {
+    static_assert(std::is_invocable_r_v<bool, const Pred&, const T&>,
+                  "Pred must map const T& -> bool");
     input->SubscribeWith(
-        [this](const StreamElement<T>& e) {
-          if (!e.is_data() || predicate_(e.data())) this->Publish(e);
+        [this, pred](const StreamElement<T>& e) {
+          if (!e.is_data() || pred(e.data())) this->Publish(e);
         },
-        [this](const ChunkView<T>& view) { OnChunk(view); });
+        [this, pred](const ChunkView<T>& view) { OnChunk(view, pred); });
   }
 
   std::string_view name() const override { return "Where"; }
 
   OperatorStats stats() const override {
     OperatorStats s;
-    s.kernel_chunks = kernel_chunks_.load(std::memory_order_relaxed);
-    s.fallback_chunks = fallback_chunks_.load(std::memory_order_relaxed);
-    s.kernel_tuples_in = kernel_in_.load(std::memory_order_relaxed);
-    s.kernel_tuples_out = kernel_out_.load(std::memory_order_relaxed);
-    s.chunks = s.kernel_chunks + s.fallback_chunks;
-    return s;
-  }
-
- private:
-  void OnChunk(const ChunkView<T>& view) {
-    if (kernel_ && view.dense() && !view.empty()) {
-      // Kernel path: one dispatch for the whole chunk; the predicate runs
-      // as a branch-light tight loop writing the selection vector.
-      if (sel_.size() < view.size()) sel_.resize(view.size());
-      const std::size_t out = kernel_(view.data(), view.size(), sel_.data());
-      kernel_chunks_.fetch_add(1, std::memory_order_relaxed);
-      kernel_in_.fetch_add(view.size(), std::memory_order_relaxed);
-      kernel_out_.fetch_add(out, std::memory_order_relaxed);
-      if (out == view.size()) {
-        this->PublishChunk(view);  // all-pass: original view, zero copy
-      } else if (out > 0) {
-        // Partial pass: survivors ship as a selection over the original
-        // data — still zero tuple copies.
-        this->PublishChunk(
-            ChunkView<T>(view.data(), view.ts_data(), sel_.data(), out));
-      }
-      return;
-    }
-    fallback_chunks_.fetch_add(1, std::memory_order_relaxed);
-    // First rejection decides the path: until then nothing was copied, so
-    // an all-pass chunk (the common case for selective-but-bursty
-    // predicates) is forwarded as the original view, zero copy.
-    std::size_t i = 0;
-    for (; i < view.size(); ++i) {
-      if (!predicate_(view[i])) break;
-    }
-    if (i == view.size()) {
-      if (!view.empty()) this->PublishChunk(view);
-      return;
-    }
-    if (!scratch_ || scratch_->capacity() < view.size()) {
-      scratch_.emplace(view.size());
-    }
-    for (std::size_t j = 0; j < i; ++j) {
-      scratch_->Append(view[j], view.ts(j));
-    }
-    for (std::size_t j = i + 1; j < view.size(); ++j) {
-      if (predicate_(view[j])) scratch_->Append(view[j], view.ts(j));
-    }
-    if (!scratch_->empty()) this->PublishChunk(scratch_->view());
-    scratch_->Clear();
-  }
-
-  std::function<bool(const T&)> predicate_;
-  FilterKernel kernel_;
-  std::vector<std::uint32_t> sel_;   ///< selection scratch; delivering-thread only
-  std::optional<Chunk<T>> scratch_;  ///< delivering-thread only
-  std::atomic<std::uint64_t> kernel_chunks_{0};
-  std::atomic<std::uint64_t> fallback_chunks_{0};
-  std::atomic<std::uint64_t> kernel_in_{0};
-  std::atomic<std::uint64_t> kernel_out_{0};
-};
-
-/// Builds a Where whose chunk path runs `pred` as one auto-vectorizable
-/// tight loop per chunk into the selection vector. `pred` must be a
-/// cheap, capture-light functor — it is copied into both the kernel and
-/// the per-tuple fallback.
-template <typename T, typename Pred>
-Where<T>* MakeVectorizedWhere(Publisher<T>* input, Pred pred) {
-  static_assert(std::is_invocable_r_v<bool, Pred, const T&>,
-                "Pred must map const T& -> bool");
-  typename Where<T>::FilterKernel kernel =
-      [pred](const T* data, std::size_t n, std::uint32_t* sel) {
-        std::size_t out = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          sel[out] = static_cast<std::uint32_t>(i);
-          out += pred(data[i]) ? 1 : 0;
-        }
-        return out;
-      };
-  return new Where<T>(
-      input, [pred](const T& v) { return pred(v); }, std::move(kernel));
-}
-
-/// Filter over ONE FIELD of a columnar-registered type: each input chunk
-/// is scattered into a pooled ColumnarChunk (per-field contiguous
-/// arrays), the predicate runs over the field-I column as one tight loop
-/// into the selection vector, and survivors are published as a selection
-/// over the ORIGINAL row view — zero tuple copies on every path. Selected
-/// input composes selections instead of falling back.
-template <typename T, std::size_t I = 0>
-class ColumnarWhere : public OperatorBase, public Publisher<T> {
-  static_assert(ColumnarTraits<T>::kColumnar,
-                "T has no columnar decomposition; register one with "
-                "STREAMSI_COLUMNAR_FIELDS or use Where<T>");
-
- public:
-  /// `pred` takes the field value (column I), not the whole row.
-  template <typename Pred>
-  ColumnarWhere(Publisher<T>* input, Pred pred)
-      : pool_(ColumnarChunkPool<T>::Create()) {
-    input->SubscribeWith(
-        [this, pred](const StreamElement<T>& e) {
-          if (!e.is_data() ||
-              pred(ColumnarTraits<T>::template Get<I>(e.data()))) {
-            this->Publish(e);
-          }
-        },
-        [this, pred](const ChunkView<T>& view) { OnChunk(view, pred); });
-  }
-
-  std::string_view name() const override { return "ColumnarWhere"; }
-
-  OperatorStats stats() const override {
-    OperatorStats s;
-    s.kernel_chunks = kernel_chunks_.load(std::memory_order_relaxed);
-    s.kernel_tuples_in = kernel_in_.load(std::memory_order_relaxed);
-    s.kernel_tuples_out = kernel_out_.load(std::memory_order_relaxed);
+    s.kernel_chunks = chunks_.load(std::memory_order_relaxed);
+    s.kernel_tuples_in = tuples_in_.load(std::memory_order_relaxed);
+    s.kernel_tuples_out = tuples_out_.load(std::memory_order_relaxed);
     s.chunks = s.kernel_chunks;
     return s;
   }
 
-  const std::shared_ptr<ColumnarChunkPool<T>>& pool() const { return pool_; }
-
  private:
+  /// Branch-free selection loop: every row's base index is written and the
+  /// survivor count advances only when the predicate holds.
   template <typename Pred>
   void OnChunk(const ChunkView<T>& view, const Pred& pred) {
-    if (view.empty()) return;
-    ColumnarChunkRef<T> col = pool_->Acquire(view.size());
-    col->ScatterFrom(view);  // compacts selected input
-    const auto* field = col->template column<I>();
-    std::uint32_t* sel = col->selection_data();
-    const std::size_t n = col->size();
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      sel[out] = static_cast<std::uint32_t>(i);
-      out += pred(field[i]) ? 1 : 0;
+    const std::size_t n = view.size();
+    if (n == 0) return;
+    if (sel_.size() < n) sel_.resize(n);
+    std::uint32_t* out_sel = sel_.data();
+    const T* rows = view.data();
+    const std::uint32_t* in_sel = view.selection();
+    const auto run = [&](auto is_dense) {
+      std::size_t out = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        std::uint32_t base;
+        if constexpr (decltype(is_dense)::value) {
+          base = static_cast<std::uint32_t>(i);
+        } else {
+          base = in_sel[i];
+        }
+        out_sel[out] = base;
+        out += pred(rows[base]) ? 1 : 0;
+      }
+      return out;
+    };
+    const std::size_t out =
+        in_sel == nullptr ? run(std::true_type{}) : run(std::false_type{});
+    chunks_.fetch_add(1, std::memory_order_relaxed);
+    tuples_in_.fetch_add(n, std::memory_order_relaxed);
+    tuples_out_.fetch_add(out, std::memory_order_relaxed);
+    if (out == n) {
+      this->PublishChunk(view);  // all-pass: the input view, zero copy
+    } else if (out > 0) {
+      this->PublishChunk(ChunkView<T>(rows, view.ts_data(), out_sel, out));
     }
-    col->SetSelection(out);
-    kernel_chunks_.fetch_add(1, std::memory_order_relaxed);
-    kernel_in_.fetch_add(n, std::memory_order_relaxed);
-    kernel_out_.fetch_add(out, std::memory_order_relaxed);
-    if (out == 0) return;
-    if (out == n && view.dense()) {
-      this->PublishChunk(view);  // all-pass: original view, zero copy
-      return;
-    }
-    if (!view.dense()) {
-      // Selected input: the kernel's indices are view-logical; compose
-      // them with the input selection so they index the base arrays.
-      const std::uint32_t* vsel = view.selection();
-      for (std::size_t i = 0; i < out; ++i) sel[i] = vsel[sel[i]];
-    }
-    // `col` (and with it `sel`) lives until this call returns, which
-    // outlives the synchronous downstream delivery.
-    this->PublishChunk(ChunkView<T>(view.data(), view.ts_data(), sel, out));
   }
 
-  std::shared_ptr<ColumnarChunkPool<T>> pool_;
-  std::atomic<std::uint64_t> kernel_chunks_{0};
-  std::atomic<std::uint64_t> kernel_in_{0};
-  std::atomic<std::uint64_t> kernel_out_{0};
+  std::vector<std::uint32_t> sel_;  ///< selection scratch; delivering-thread only
+  std::atomic<std::uint64_t> chunks_{0};
+  std::atomic<std::uint64_t> tuples_in_{0};
+  std::atomic<std::uint64_t> tuples_out_{0};
 };
 
 /// Terminal sink invoking a callback per data element (and optionally per

@@ -201,11 +201,6 @@ class BoundedQueue {
   bool closed_ = false;
 };
 
-/// Unbounded blocking queue — the historical name, now with close-safe push
-/// semantics (push after Close is rejected instead of silently enqueued).
-template <typename T>
-using BlockingQueue = BoundedQueue<T>;
-
 /// One slot of a chunked lane queue: a whole pooled chunk OR a single
 /// element (punctuations always travel as elements — §3 boundaries are
 /// never buried inside a chunk).

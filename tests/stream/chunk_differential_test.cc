@@ -79,15 +79,13 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 
 namespace streamsi {
 
-/// Fixed-width event for the columnar differential lanes.
+namespace {
+
+/// Fixed-width event for the operator differential lanes.
 struct Event {
   std::uint64_t key = 0;
   std::uint64_t value = 0;
 };
-
-STREAMSI_COLUMNAR_FIELDS(Event, &Event::key, &Event::value);
-
-namespace {
 
 using Tuple = std::pair<std::uint64_t, std::uint64_t>;
 
@@ -236,18 +234,17 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, ChunkDifferentialTest,
                            return "Unknown";
                          });
 
-// ------------------------------------------- columnar/vectorized lanes ---
+// -------------------------------------------------- operator lanes ---
 //
 // The same workload runs through Where -> Map -> Batcher -> ToTable ->
-// GroupedAggregate three ways: bare per-tuple delivery with scalar
-// operators, row chunks through the scalar fallbacks, and row chunks
-// through the columnar/vectorized kernels (ColumnarWhere's SoA scatter +
-// selection output, MakeVectorizedMap, MakeVectorizedGroupedAggregate).
-// Committed table state, the exact per-update aggregate sequence and the
-// transaction framing must be byte-identical across all three — under
-// every concurrency protocol.
+// GroupedAggregate two ways: bare per-tuple delivery (the operators'
+// element channels) and chunks misaligned with the batch size (their
+// chunk bodies: Where's selection views, Map over selected input, the
+// pipelined aggregate pass). Committed table state, the exact per-update
+// aggregate sequence and the transaction framing must be byte-identical
+// across both — under every concurrency protocol.
 
-enum class EngineVariant { kPerTuple, kRowChunk, kColumnar };
+enum class EngineVariant { kPerTuple, kChunk };
 
 constexpr std::uint64_t kMixedTuples = 1022;  // not a multiple of 7 or 13
 constexpr std::uint64_t kMixedKeys = 64;
@@ -296,23 +293,9 @@ MixedOutput RunMixedPipeline(ProtocolType protocol, EngineVariant variant) {
   auto* source =
       topology.Add<VectorSource<Event>>(MakeMixedWorkload(), source_options);
 
-  Publisher<Event>* filtered = nullptr;
-  if (variant == EngineVariant::kColumnar) {
-    // Field-1 (value) column filter over the SoA decomposition.
-    filtered = topology.Adopt(new ColumnarWhere<Event, 1>(source, keep));
-  } else {
-    filtered = topology.Add<Where<Event>>(
-        source, [keep](const Event& e) { return keep(e.value); });
-  }
-
-  Publisher<Event>* mapped = nullptr;
-  if (variant == EngineVariant::kColumnar) {
-    mapped = topology.Adopt(
-        MakeVectorizedMap<Event, Event>(filtered, transform));
-  } else {
-    mapped = topology.Add<Map<Event, Event>>(filtered, transform);
-  }
-
+  auto* filtered = topology.Add<Where<Event>>(
+      source, [keep](const Event& e) { return keep(e.value); });
+  auto* mapped = topology.Add<Map<Event, Event>>(filtered, transform);
   auto* batcher = topology.Add<Batcher<Event>>(mapped, kBatch);
   MixedOutput out;
   batcher->Subscribe([&out](const StreamElement<Event>& e) {
@@ -328,15 +311,9 @@ MixedOutput RunMixedPipeline(ProtocolType protocol, EngineVariant variant) {
       batcher, table, ctx, [](const Event& e) { return e.key; },
       [](const Event& e) { return e.value; });
 
-  GroupedAggregate<Event, std::uint64_t, std::uint64_t>* agg = nullptr;
-  if (variant == EngineVariant::kColumnar) {
-    agg = topology.Adopt(
-        MakeVectorizedGroupedAggregate<Event, std::uint64_t, std::uint64_t>(
-            to_table, group_key, std::uint64_t{0}, fold));
-  } else {
-    agg = topology.Add<GroupedAggregate<Event, std::uint64_t, std::uint64_t>>(
-        to_table, group_key, std::uint64_t{0}, fold);
-  }
+  auto* agg =
+      topology.Add<GroupedAggregate<Event, std::uint64_t, std::uint64_t>>(
+          to_table, group_key, std::uint64_t{0}, fold);
   auto* updates =
       topology.Add<Collect<std::pair<std::uint64_t, std::uint64_t>>>(agg);
 
@@ -361,16 +338,13 @@ MixedOutput RunMixedPipeline(ProtocolType protocol, EngineVariant variant) {
 class MixedEngineDifferentialTest
     : public ::testing::TestWithParam<ProtocolType> {};
 
-TEST_P(MixedEngineDifferentialTest, ColumnarRowAndPerTupleLanesAgree) {
+TEST_P(MixedEngineDifferentialTest, ChunkAndPerTupleLanesAgree) {
   const MixedOutput per_tuple =
       RunMixedPipeline(GetParam(), EngineVariant::kPerTuple);
-  const MixedOutput row = RunMixedPipeline(GetParam(), EngineVariant::kRowChunk);
-  const MixedOutput columnar =
-      RunMixedPipeline(GetParam(), EngineVariant::kColumnar);
+  const MixedOutput chunk = RunMixedPipeline(GetParam(), EngineVariant::kChunk);
 
   EXPECT_EQ(per_tuple.write_errors, 0u);
-  EXPECT_EQ(row.write_errors, 0u);
-  EXPECT_EQ(columnar.write_errors, 0u);
+  EXPECT_EQ(chunk.write_errors, 0u);
 
   // Independently computed expectation anchors the per-tuple lane.
   std::mt19937_64 rng(7);
@@ -389,16 +363,13 @@ TEST_P(MixedEngineDifferentialTest, ColumnarRowAndPerTupleLanesAgree) {
   EXPECT_EQ(per_tuple.committed, expected_committed);
   EXPECT_EQ(per_tuple.updates, expected_updates);
 
-  // Row-chunk and columnar lanes are byte-identical to the per-tuple lane.
-  EXPECT_EQ(row.committed, per_tuple.committed);
-  EXPECT_EQ(columnar.committed, per_tuple.committed)
-      << "columnar lane committed different table state";
-  EXPECT_EQ(row.updates, per_tuple.updates);
-  EXPECT_EQ(columnar.updates, per_tuple.updates)
-      << "columnar lane emitted a different aggregate update sequence";
-  EXPECT_EQ(row.batches, per_tuple.batches);
-  EXPECT_EQ(columnar.batches, per_tuple.batches)
-      << "columnar lane moved transaction batch boundaries";
+  // The chunk lane is byte-identical to the per-tuple lane.
+  EXPECT_EQ(chunk.committed, per_tuple.committed)
+      << "chunk lane committed different table state";
+  EXPECT_EQ(chunk.updates, per_tuple.updates)
+      << "chunk lane emitted a different aggregate update sequence";
+  EXPECT_EQ(chunk.batches, per_tuple.batches)
+      << "chunk lane moved transaction batch boundaries";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, MixedEngineDifferentialTest,
@@ -471,11 +442,11 @@ TEST(ChunkAllocationTest, SteadyStateAddsNoPerTupleAllocations) {
       << small_allocs << " allocs, large run: " << large_allocs << ")";
 }
 
-TEST(ChunkAllocationTest, ColumnarSteadyStateAddsNoPerTupleAllocations) {
-  // Columnar/vectorized pipeline: ColumnarWhere scatters every chunk into
-  // a pooled ColumnarChunk and the vectorized GroupedAggregate reuses its
-  // key/hash/scratch arrays — after warm-up nothing on the per-chunk path
-  // allocates, so 4x the tuples must not grow the allocation count.
+TEST(ChunkAllocationTest, OperatorSteadyStateAddsNoPerTupleAllocations) {
+  // Operator chunk bodies: Where reuses its selection vector and
+  // GroupedAggregate its flat accumulator table and output chunk — after
+  // warm-up nothing on the per-chunk path allocates, so 4x the tuples must
+  // not grow the allocation count.
   auto run = [](std::uint64_t tuples) {
     Topology topology;
     std::vector<StreamElement<Event>> elements;
@@ -487,12 +458,12 @@ TEST(ChunkAllocationTest, ColumnarSteadyStateAddsNoPerTupleAllocations) {
     source_options.chunk_capacity = 64;
     auto* source = topology.Add<VectorSource<Event>>(std::move(elements),
                                                      source_options);
-    auto* where = topology.Adopt(new ColumnarWhere<Event, 1>(
-        source, [](const std::uint64_t& value) { return (value & 3) != 0; }));
-    auto* agg = topology.Adopt(
-        MakeVectorizedGroupedAggregate<Event, std::uint64_t, std::uint64_t>(
+    auto* where = topology.Add<Where<Event>>(
+        source, [](const Event& e) { return (e.value & 3) != 0; });
+    auto* agg =
+        topology.Add<GroupedAggregate<Event, std::uint64_t, std::uint64_t>>(
             where, [](const Event& e) { return e.key; }, std::uint64_t{0},
-            [](std::uint64_t& acc, const Event& e) { acc += e.value; }));
+            [](std::uint64_t& acc, const Event& e) { acc += e.value; });
     std::atomic<std::uint64_t> drained{0};
     topology.Add<ForEach<std::pair<std::uint64_t, std::uint64_t>>>(
         agg, [&](const std::pair<std::uint64_t, std::uint64_t>&) {
@@ -517,7 +488,7 @@ TEST(ChunkAllocationTest, ColumnarSteadyStateAddsNoPerTupleAllocations) {
 
   const std::uint64_t extra_tuples = large_tuples - small_tuples;
   EXPECT_LE(large_allocs, small_allocs + extra_tuples / 100)
-      << "columnar path allocates per tuple at steady state (small run: "
+      << "operator path allocates per tuple at steady state (small run: "
       << small_allocs << " allocs, large run: " << large_allocs << ")";
 }
 

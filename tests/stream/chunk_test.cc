@@ -2,7 +2,7 @@
 // flush-reason accounting (full / boundary / timeout), the ring-backed
 // bounded queue, publisher chunk delivery with per-tuple fallback, the
 // Subscribe-after-Start() refusal, chunked operator semantics (Where
-// compaction, Batcher framing) and the chunked
+// selection, Batcher framing) and the chunked
 // PartitionBy -> lanes -> MergePartitions pipeline with its stats.
 
 #include <gtest/gtest.h>
@@ -198,7 +198,7 @@ TEST(PublisherFreezeTest, TopologyStartFreezesAllPublishers) {
 
 // ------------------------------------------------------- chunked Where ---
 
-TEST(WhereChunkTest, AllPassForwardsAndPartialPassCompacts) {
+TEST(WhereChunkTest, AllPassForwardsAndPartialPassSelects) {
   Publisher<int> input;
   Where<int> where(&input, [](const int& v) { return v % 2 == 0; });
   Collect<int> collect(&where);
@@ -209,7 +209,7 @@ TEST(WhereChunkTest, AllPassForwardsAndPartialPassCompacts) {
 
   Chunk<int> mixed(4);
   for (int v : {1, 2, 3, 4}) mixed.Append(v, 0);
-  input.PublishChunk(mixed.view());  // compaction path
+  input.PublishChunk(mixed.view());  // selection-vector path
 
   Chunk<int> none(2);
   for (int v : {1, 3}) none.Append(v, 0);

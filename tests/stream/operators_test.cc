@@ -135,16 +135,6 @@ TEST(QueueHandoffTest, CrossesThreadBoundary) {
   EXPECT_EQ(collect->Elements(), (std::vector<int>{1, 2, 3, 4}));
 }
 
-TEST(BlockingQueueTest, PopAfterCloseDrains) {
-  BlockingQueue<int> queue;
-  queue.Push(1);
-  queue.Push(2);
-  queue.Close();
-  EXPECT_EQ(queue.Pop().value(), 1);
-  EXPECT_EQ(queue.Pop().value(), 2);
-  EXPECT_FALSE(queue.Pop().has_value());
-}
-
 TEST(ToTableTest, WriteCountExcludesFailedWrites) {
   // PR 3 regression: ToTable incremented writes_ even when Put/Delete
   // failed, so write_count() overcounted exactly when error_count() grew.

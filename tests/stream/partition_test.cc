@@ -30,14 +30,17 @@ std::vector<StreamElement<T>> DataElements(std::vector<T> values) {
 TEST(BoundedQueueTest, PushAfterCloseIsRejected) {
   BoundedQueue<int> queue;
   EXPECT_EQ(queue.Push(1), PushResult::kOk);
+  EXPECT_EQ(queue.Push(2), PushResult::kOk);
   queue.Close();
   // The shutdown race of the seed: a producer publishing concurrently with
   // Close() used to enqueue into a queue whose consumer already observed
   // drain-and-exit. Now the push is rejected deterministically.
-  EXPECT_EQ(queue.Push(2), PushResult::kClosed);
-  EXPECT_EQ(queue.Pop().value(), 1);  // pre-close elements still drain
+  EXPECT_EQ(queue.Push(3), PushResult::kClosed);
+  // Pre-close elements still drain, in FIFO order.
+  EXPECT_EQ(queue.Pop().value(), 1);
+  EXPECT_EQ(queue.Pop().value(), 2);
   EXPECT_FALSE(queue.Pop().has_value());
-  EXPECT_EQ(queue.stats().pushed, 1u);
+  EXPECT_EQ(queue.stats().pushed, 2u);
   EXPECT_EQ(queue.stats().dropped, 1u);
 }
 
