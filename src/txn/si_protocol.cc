@@ -1,5 +1,6 @@
 #include "txn/si_protocol.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -75,12 +76,21 @@ Status SiProtocol::ScanRange(
 Status SiProtocol::Validate(Transaction& txn, VersionedStore& store) {
   const WriteSet* ws = txn.FindWriteSet(store.id());
   if (ws == nullptr || ws->empty()) return Status::OK();
-  return batched_validation_ ? ValidateBatched(txn, store, *ws)
-                             : ValidatePerKey(txn, store, *ws);
+  // First-Committer-Wins compares against the older of BOT and the snapshot
+  // this transaction read the store at. A commit whose timestamp was drawn
+  // before BOT can still be unpublished when the snapshot is pinned (the
+  // publication clamp keeps it invisible); judged against BOT alone it
+  // would pass, and a read-modify-write would overwrite it unseen.
+  Timestamp newer_than = txn.id();
+  if (const auto snapshot = txn.CachedSnapshot(store.id())) {
+    newer_than = std::min(newer_than, *snapshot);
+  }
+  return batched_validation_ ? ValidateBatched(txn, store, *ws, newer_than)
+                             : ValidatePerKey(txn, store, *ws, newer_than);
 }
 
 Status SiProtocol::ValidatePerKey(Transaction& txn, VersionedStore& store,
-                                  const WriteSet& ws) {
+                                  const WriteSet& ws, Timestamp newer_than) {
   for (const auto& entry : ws.entries()) {
     // Commit-time write lock ("In the case of multiple writers, additional
     // write locks are introduced"). The recorded key is a view into the
@@ -93,8 +103,8 @@ Status SiProtocol::ValidatePerKey(Transaction& txn, VersionedStore& store,
     entry.commit_hint = handle;
     txn.RecordCommitLock(store.id(), entry.key, handle);
     // First-Committer-Wins: someone committed a modification (install or
-    // delete) of this key after our BOT.
-    if (store.LatestModification(handle) > txn.id()) {
+    // delete) of this key that our snapshot does not see.
+    if (store.LatestModification(handle) > newer_than) {
       return Status::Conflict("first-committer-wins: key '" +
                               std::string(entry.key) +
                               "' has a newer committed modification");
@@ -104,7 +114,7 @@ Status SiProtocol::ValidatePerKey(Transaction& txn, VersionedStore& store,
 }
 
 Status SiProtocol::ValidateBatched(Transaction& txn, VersionedStore& store,
-                                   const WriteSet& ws) {
+                                   const WriteSet& ws, Timestamp newer_than) {
   // Batch-amortized Phase 1: validate-and-lock the whole write set in one
   // store pass (one epoch pin for every probe, one shard-latch acquisition
   // per distinct shard for creations, one scratch-lock acquisition for all
@@ -121,7 +131,7 @@ Status SiProtocol::ValidateBatched(Transaction& txn, VersionedStore& store,
   std::size_t locked = 0;
   const Status status =
       store.LockForCommitBatch(requests.begin(), requests.size(), txn.id(),
-                               &locked);
+                               newer_than, &locked);
   // Stash the resolved handles for the apply phase and record every
   // claimed lock for release — both only over the locked prefix.
   for (std::size_t i = 0; i < locked; ++i) {

@@ -5,8 +5,9 @@
 //    later reads reuse it — every operation reads from the same snapshot).
 //  * Write: append to the dirty array; writes never block.
 //  * Commit: per key, claim commit ownership (the "additional write locks"
-//    for multiple writers), check First-Committer-Wins (a newer committed
-//    version than the transaction's BOT timestamp forces an abort), apply
+//    for multiple writers), check First-Committer-Wins (a committed version
+//    newer than the older of the transaction's BOT timestamp and its
+//    snapshot of the state forces an abort), apply
 //    in memory, persist through to the base table, and finally advance the
 //    group's commit timestamp.
 //  * Abort: drop the write set; committed data was never touched, so no
@@ -55,10 +56,12 @@ class SiProtocol final : public ConcurrencyProtocol {
   /// The transaction's snapshot for this store (pin-on-first-read, §4.2).
   Timestamp SnapshotFor(Transaction& txn, VersionedStore& store);
 
+  /// Both validate `ws` under First-Committer-Wins: a committed
+  /// modification newer than `newer_than` aborts the transaction.
   Status ValidateBatched(Transaction& txn, VersionedStore& store,
-                         const WriteSet& ws);
+                         const WriteSet& ws, Timestamp newer_than);
   Status ValidatePerKey(Transaction& txn, VersionedStore& store,
-                        const WriteSet& ws);
+                        const WriteSet& ws, Timestamp newer_than);
 
   StateContext* context_;
   bool batched_validation_ = true;

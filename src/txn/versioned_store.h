@@ -177,6 +177,8 @@ class VersionedStore {
   /// DISTINCT SHARD (misses sorted by shard, probed in runs) instead of a
   /// pin + probe + possible latch round-trip per key.
   ///
+  /// `txn` becomes the commit owner; a key whose latest committed
+  /// modification is newer than `newer_than` fails First-Committer-Wins.
   /// Locks are claimed in request (write-set) order, so the observable
   /// lock/conflict sequence is identical to calling LockForCommit per key:
   /// on a Conflict from the lock CAS, requests [0, *locked_count) hold
@@ -186,7 +188,8 @@ class VersionedStore {
   /// after a conflict point carry no versions and are semantically
   /// invisible.
   Status LockForCommitBatch(CommitLockRequest* requests, std::size_t count,
-                            TxnId txn, std::size_t* locked_count);
+                            TxnId txn, Timestamp newer_than,
+                            std::size_t* locked_count);
 
   /// Handle-based First-Committer-Wins comparison point (no probe, no
   /// epoch pin — the handle already is the entry).

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#include "common/fault_env.h"
 #include "core/streamsi.h"
 
 namespace streamsi {
@@ -312,6 +315,58 @@ TEST_F(SiProtocolTest, ReadersNeverBlockDuringWriterCommit) {
   writer.join();
   for (auto& reader : readers) reader.join();
   EXPECT_FALSE(violation.load());
+}
+
+// A commit whose timestamp was drawn BEFORE a transaction began, but which
+// had not published yet when that transaction first read, is invisible to
+// the transaction's snapshot (the publication clamp). First-Committer-Wins
+// must therefore treat it as concurrent: a read-modify-write of the same
+// key has to abort instead of silently overwriting it (a lost update).
+TEST(SiLostUpdateTest, UnpublishedEarlierCommitConflictsWithReadModifyWrite) {
+  FaultEnv env(/*seed=*/1);
+  DatabaseOptions options;
+  options.protocol = ProtocolType::kMvcc;
+  options.backend = BackendType::kLsm;
+  // Every commit sleeps in its simulated syncs while its timestamp is in
+  // flight: the window in which the reader below takes its snapshot.
+  options.backend_options.sync_mode = SyncMode::kSimulated;
+  options.backend_options.simulated_sync_micros = 100000;
+  options.backend_options.env = &env;
+  options.env = &env;
+  options.base_dir = "/db";
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(opened).value();
+  const StateId s = (*db->CreateState("s"))->id();
+  ASSERT_TRUE(db->Recover().ok());
+  TransactionManager& tm = db->txn_manager();
+  {
+    auto t = db->Begin();
+    ASSERT_TRUE(tm.Write((*t)->txn(), s, "counter", "0").ok());
+    ASSERT_TRUE((*t)->Commit().ok());
+  }
+
+  std::thread earlier([&] {
+    auto t = db->Begin();
+    ASSERT_TRUE(tm.Write((*t)->txn(), s, "counter", "1").ok());
+    ASSERT_TRUE((*t)->Commit().ok());
+  });
+  // Wait until the earlier commit holds an in-flight commit timestamp.
+  while (db->context().SafePublicationTs() == kInfinityTs) {
+    std::this_thread::yield();
+  }
+  auto later = db->Begin();
+  ASSERT_TRUE(later.ok());
+  std::string seen;
+  ASSERT_TRUE(tm.Read((*later)->txn(), s, "counter", &seen).ok());
+  earlier.join();
+  ASSERT_EQ(seen, "0") << "the earlier commit published before the read";
+
+  ASSERT_TRUE(tm.Write((*later)->txn(), s, "counter", "1").ok());
+  const Status status = (*later)->Commit();
+  EXPECT_TRUE(status.IsConflict())
+      << "read-modify-write over an invisible earlier commit must abort, got "
+      << status.ToString();
 }
 
 }  // namespace

@@ -52,7 +52,8 @@ TEST(LockForCommitBatchTest, LocksEveryKeyAndResolvesHandles) {
 
   std::size_t locked = 0;
   ASSERT_TRUE(
-      store->LockForCommitBatch(requests.data(), requests.size(), 10, &locked)
+      store->LockForCommitBatch(requests.data(), requests.size(), 10,
+                                10, &locked)
           .ok());
   EXPECT_EQ(locked, 3u);
   EXPECT_EQ(store->stats().batch_validates.load(), 1u);
@@ -66,7 +67,8 @@ TEST(LockForCommitBatchTest, LocksEveryKeyAndResolvesHandles) {
   // Re-entrant: the same transaction may batch-lock the same keys again.
   std::size_t relocked = 0;
   EXPECT_TRUE(
-      store->LockForCommitBatch(requests.data(), requests.size(), 10, &relocked)
+      store->LockForCommitBatch(requests.data(), requests.size(), 10,
+                                10, &relocked)
           .ok());
   EXPECT_EQ(relocked, 3u);
   for (const auto& r : requests) store->UnlockCommit(r.handle, 10);
@@ -86,7 +88,8 @@ TEST(LockForCommitBatchTest, LockConflictLeavesFailingKeyUnlocked) {
   for (const auto& k : keys) requests.push_back(MakeRequest(k));
   std::size_t locked = 0;
   EXPECT_TRUE(
-      store->LockForCommitBatch(requests.data(), requests.size(), 2, &locked)
+      store->LockForCommitBatch(requests.data(), requests.size(), 2,
+                                2, &locked)
           .IsConflict());
   EXPECT_EQ(locked, 1u) << "only the pre-conflict prefix holds locks";
 
@@ -113,7 +116,8 @@ TEST(LockForCommitBatchTest, FcwConflictCountsFailingKeyAsLocked) {
   for (const auto& k : keys) requests.push_back(MakeRequest(k));
   std::size_t locked = 0;
   EXPECT_TRUE(
-      store->LockForCommitBatch(requests.data(), requests.size(), 50, &locked)
+      store->LockForCommitBatch(requests.data(), requests.size(), 50,
+                                50, &locked)
           .IsConflict());
   EXPECT_EQ(locked, 2u) << "the FCW-failed key is locked and counted";
 
@@ -137,7 +141,8 @@ TEST(LockForCommitBatchTest, EntriesCreatedPastConflictAreInvisible) {
   for (const auto& k : keys) requests.push_back(MakeRequest(k));
   std::size_t locked = 0;
   EXPECT_TRUE(
-      store->LockForCommitBatch(requests.data(), requests.size(), 50, &locked)
+      store->LockForCommitBatch(requests.data(), requests.size(), 50,
+                                50, &locked)
           .IsConflict());
   EXPECT_EQ(locked, 1u);
   store->UnlockCommit(requests[0].handle, 50);
