@@ -848,9 +848,11 @@ Status Database::DoCheckpoint() {
   //    can therefore never lose an acked commit.
   context_.DrainInflightCommits();
 
-  // 4. One publication-seqlock-consistent cut of every group's LastCTS.
+  // 4. One publication-seqlock-consistent cut of every group's LastCTS,
+  //    clamped below every commit that registered after the drain and is
+  //    still in flight.
   std::vector<std::pair<GroupId, Timestamp>> cut;
-  context_.SnapshotLastCts(&cut);
+  context_.SnapshotCheckpointCut(&cut);
 
   if (options_.test_hooks.checkpoint_prune_before_cut) {
     // NEGATIVE CONTROL (tests only): prune the old chain BEFORE the cut is

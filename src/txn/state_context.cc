@@ -161,6 +161,16 @@ void StateContext::SnapshotLastCts(
   }
 }
 
+void StateContext::SnapshotCheckpointCut(
+    std::vector<std::pair<GroupId, Timestamp>>* out) const {
+  SnapshotLastCts(out);
+  const Timestamp safe = SafePublicationTs();
+  for (auto& [group, ts] : *out) {
+    (void)group;
+    ts = std::min(ts, safe);
+  }
+}
+
 void StateContext::DrainInflightCommits() const {
   // Snapshot the in-flight set, then wait each entry out. A slot whose
   // value changed retired our commit (values are unique, drawn from the

@@ -128,10 +128,18 @@ class StateContext {
   /// One publication-seqlock-consistent cut of EVERY group's LastCTS (the
   /// checkpoint cut): like SweepAndPin's cut, it can never straddle a
   /// mid-flight multi-group publication. Unlike reader pins it is NOT
-  /// clamped to SafePublicationTs() — the caller (Database::Checkpoint)
-  /// first drains in-flight commits so every acked commit's publication is
-  /// inside the cut.
+  /// clamped to SafePublicationTs() (the log shipper's watermark).
   void SnapshotLastCts(std::vector<std::pair<GroupId, Timestamp>>* out) const;
+
+  /// The checkpoint cut: SnapshotLastCts() clamped below every commit still
+  /// in flight (SafePublicationTs(), scanned AFTER the snapshot, as for
+  /// reader pins). Database::Checkpoint drains in-flight commits first, but
+  /// commits registering after the drain can publish out of timestamp
+  /// order: an unclamped cut would cover an earlier commit that is still
+  /// applying, and if that commit then failed between its stores, recovery
+  /// would keep its partial versions as committed.
+  void SnapshotCheckpointCut(
+      std::vector<std::pair<GroupId, Timestamp>>* out) const;
 
   /// Blocks until every commit in flight at CALL TIME has retired its
   /// commit timestamp (published, or purged after a failed commit). Commits

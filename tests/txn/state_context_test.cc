@@ -44,6 +44,43 @@ TEST(StateContextTest, LastCtsAdvancesMonotonically) {
   EXPECT_EQ(ctx.LastCts(g), 3u);
 }
 
+// A later commit publishing while an earlier one is still in flight must
+// not carry the checkpoint cut past the earlier one: if that commit then
+// fails, a cut covering it would make recovery keep its partial versions.
+TEST(StateContextTest, CheckpointCutStaysBelowInflightCommits) {
+  StateContext ctx;
+  const GroupId g =
+      ctx.RegisterGroup({ctx.RegisterState("a"), ctx.RegisterState("b")});
+  TxnId earlier_id = 0;
+  TxnId later_id = 0;
+  const int earlier = ctx.BeginTransaction(&earlier_id).value();
+  const int later = ctx.BeginTransaction(&later_id).value();
+  const Timestamp earlier_cts = ctx.AssignCommitTimestamp(earlier);
+  const Timestamp later_cts = ctx.AssignCommitTimestamp(later);
+  ASSERT_LT(earlier_cts, later_cts);
+  ctx.PublishCommit({g}, later_cts);
+  ctx.RetireCommitTimestamp(later);
+
+  std::vector<std::pair<GroupId, Timestamp>> cut;
+  const auto cut_of_g = [&] {
+    for (const auto& [group, ts] : cut) {
+      if (group == g) return ts;
+    }
+    return kInfinityTs;
+  };
+  ctx.SnapshotLastCts(&cut);
+  EXPECT_EQ(cut_of_g(), later_cts) << "LastCTS itself is unclamped";
+  ctx.SnapshotCheckpointCut(&cut);
+  EXPECT_EQ(cut_of_g(), earlier_cts - 1)
+      << "the checkpoint cut must stay below the in-flight commit";
+
+  ctx.RetireCommitTimestamp(earlier);  // e.g. it failed and purged
+  ctx.SnapshotCheckpointCut(&cut);
+  EXPECT_EQ(cut_of_g(), later_cts);
+  ctx.EndTransaction(earlier);
+  ctx.EndTransaction(later);
+}
+
 TEST(StateContextTest, BeginAssignsUniqueIncreasingTxnIds) {
   StateContext ctx;
   TxnId id1 = 0;
