@@ -7,9 +7,9 @@
 //  * Commit: per key, claim commit ownership (the "additional write locks"
 //    for multiple writers), check First-Committer-Wins (a committed version
 //    newer than the older of the transaction's BOT timestamp and its
-//    snapshot of the state forces an abort), apply
-//    in memory, persist through to the base table, and finally advance the
-//    group's commit timestamp.
+//    snapshot of the state forces an abort), apply in memory, persist
+//    through to the base table, and finally advance the group's commit
+//    timestamp.
 //  * Abort: drop the write set; committed data was never touched, so no
 //    undo is needed.
 

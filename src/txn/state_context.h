@@ -125,10 +125,10 @@ class StateContext {
   /// Recovery: forces LastCTS (no monotonicity check).
   void SetLastCts(GroupId group, Timestamp cts);
 
-  /// One publication-seqlock-consistent cut of EVERY group's LastCTS (the
-  /// checkpoint cut): like SweepAndPin's cut, it can never straddle a
-  /// mid-flight multi-group publication. Unlike reader pins it is NOT
-  /// clamped to SafePublicationTs() (the log shipper's watermark).
+  /// One publication-seqlock-consistent cut of EVERY group's LastCTS: like
+  /// SweepAndPin's cut, it can never straddle a mid-flight multi-group
+  /// publication. Unlike reader pins it is NOT clamped to
+  /// SafePublicationTs() (the log shipper's watermark).
   void SnapshotLastCts(std::vector<std::pair<GroupId, Timestamp>>* out) const;
 
   /// The checkpoint cut: SnapshotLastCts() clamped below every commit still
