@@ -244,10 +244,10 @@ Result<VersionedStore*> Database::CreateStateInternal(
     if (options_.base_dir.empty()) {
       return Status::InvalidArgument("LSM backend requires base_dir");
     }
-    location = declared != nullptr ? declared->location : StateDir(name);
-    // A follower replays the PRIMARY's catalog records, whose locations
-    // are paths on the primary; its stores live under OUR base_dir.
-    if (follower_mode_) location = StateDir(name);
+    // Always under OUR base_dir, never the recorded path: a follower
+    // replays the PRIMARY's catalog, whose locations are paths on the
+    // primary, and a promoted follower reopens with that same catalog.
+    location = StateDir(name);
     backend_options.path = location;
   }
   backend_options.env = env_;

@@ -13,6 +13,10 @@
 //      surface: the client simply never learned its fate.)
 //   4. State ids are stable across the reopen and the recovered clock
 //      dominates every group watermark.
+//   5. State "a" carries a secondary index ("a_idx", keyed by the row's
+//      value): every base row has exactly its index entry and every index
+//      entry has its base row — base and index publish in one §4.3
+//      commit, so no power cut may separate them.
 //
 // Every failure message carries the seed + the fault schedule for
 // one-command reproduction:
@@ -28,12 +32,14 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/fault_env.h"
 #include "common/random.h"
+#include "core/index_key.h"
 #include "core/streamsi.h"
 
 namespace streamsi {
@@ -61,6 +67,13 @@ DatabaseOptions TortureOptions(Env* env, bool prune_before_cut) {
   return options;
 }
 
+/// The index over state "a": secondary key = the row's value.
+TransactionManager::IndexKeyExtractor ValueExtractor() {
+  return [](std::string_view, std::string_view value) {
+    return std::string(value);
+  };
+}
+
 /// What the run observed before the lights went out.
 struct TortureRun {
   // Per committer thread: last value whose commit returned OK, and the last
@@ -72,17 +85,27 @@ struct TortureRun {
   GroupId g = kInvalidGroupId;
 };
 
-/// Drives committers + checkpoints against `env` until the armed power cut
-/// fires (or the safety cap is reached).
-TortureRun RunUntilPowerCut(FaultEnv* env, bool prune_before_cut) {
+/// Declares the schema: states a and b in one group, plus the index over a.
+void DeclareSchema(Database& db, TortureRun* run) {
+  run->a = (*db.CreateState("a"))->id();
+  run->b = (*db.CreateState("b"))->id();
+  run->g = db.CreateGroup({run->a, run->b});
+  EXPECT_TRUE(db.CreateIndex("a", "a_idx", ValueExtractor()).ok());
+  EXPECT_TRUE(db.Recover().ok());
+}
+
+/// Drives committers + checkpoints against `env` until a power cut armed
+/// `cut_after_ops` ops after setup fires (or the safety cap is reached).
+TortureRun RunUntilPowerCut(FaultEnv* env, bool prune_before_cut,
+                            std::uint64_t cut_after_ops) {
   TortureRun run;
   auto db = Database::Open(TortureOptions(env, prune_before_cut));
   EXPECT_TRUE(db.ok()) << db.status().ToString();
   if (!db.ok()) return run;
-  run.a = (*(*db)->CreateState("a"))->id();
-  run.b = (*(*db)->CreateState("b"))->id();
-  run.g = (*db)->CreateGroup({run.a, run.b});
-  EXPECT_TRUE((*db)->Recover().ok());
+  DeclareSchema(**db, &run);
+  // Armed AFTER setup: the cut lands inside the commit/checkpoint
+  // workload, not inside the schema declarations.
+  env->CutPowerAfterOps(cut_after_ops);
 
   std::atomic<bool> stop{false};
   std::thread checkpointer([&] {
@@ -132,6 +155,52 @@ std::string ReadOne(Database& db, StateId state, const std::string& key) {
   return value;
 }
 
+/// Base/index agreement at one snapshot: each base row of "a" has exactly
+/// its index entry, and each index entry points at a base row whose value
+/// extracts to the entry's secondary key.
+void VerifyIndex(Database& db, const std::string& repro) {
+  // Re-bind the extractor: a reopened index comes back pending.
+  auto index = db.CreateIndex("a", "a_idx", ValueExtractor());
+  ASSERT_TRUE(index.ok()) << index.status().ToString() << "\n" << repro;
+  const StateId a = db.FindState("a")->id();
+  auto t = db.Begin();
+  ASSERT_TRUE(t.ok()) << repro;
+  std::map<std::string, std::string> base;
+  std::map<std::string, std::string> entries;
+  ASSERT_TRUE((*t)->Scan(a, [&](std::string_view k, std::string_view v) {
+                    base.emplace(k, v);
+                    return true;
+                  }).ok())
+      << repro;
+  ASSERT_TRUE((*t)->Scan((*index)->id(),
+                         [&](std::string_view k, std::string_view v) {
+                           entries.emplace(k, v);
+                           return true;
+                         })
+                  .ok())
+      << repro;
+  EXPECT_TRUE((*t)->Commit().ok()) << repro;
+  for (const auto& [key, value] : base) {
+    const std::string composite = MakeIndexKey(value, key);
+    const auto it = entries.find(composite);
+    EXPECT_TRUE(it != entries.end() && it->second == key)
+        << "base row " << key << "=" << value << " has no index entry\n"
+        << repro;
+  }
+  for (const auto& [composite, primary] : entries) {
+    std::string_view secondary;
+    std::string_view key;
+    ASSERT_TRUE(SplitIndexKey(composite, &secondary, &key)) << repro;
+    EXPECT_EQ(key, primary) << repro;
+    const auto it = base.find(std::string(key));
+    EXPECT_TRUE(it != base.end() && it->second == secondary)
+        << "index entry " << secondary << "->" << key
+        << " has no matching base row\n"
+        << repro;
+  }
+  EXPECT_EQ(base.size(), entries.size()) << repro;
+}
+
 /// Reopens from the surviving state and checks the durability contract.
 /// `expect_detectable_loss`: the negative control flips this to assert the
 /// verifier DOES flag lost acked commits.
@@ -179,6 +248,7 @@ void VerifySurvivors(FaultEnv* env, const TortureRun& run,
   // recovered groups hand out stay monotone).
   EXPECT_GE((*db)->context().clock().Now(), (*db)->context().LastCts(run.g))
       << repro;
+  VerifyIndex(**db, repro);
 }
 
 class CrashTortureTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -189,9 +259,8 @@ TEST_P(CrashTortureTest, AckedCommitsSurviveRandomPowerCut) {
   // Somewhere inside the workload's IO stream; Xorshift(seed) makes the
   // budget (and every torn-byte choice inside FaultEnv) reproducible.
   Xorshift rng(seed * 2654435761u + 1);
-  env.CutPowerAfterOps(30 + rng.Uniform(2500));
-
-  const TortureRun run = RunUntilPowerCut(&env, /*prune_before_cut=*/false);
+  const TortureRun run = RunUntilPowerCut(&env, /*prune_before_cut=*/false,
+                                          30 + rng.Uniform(2500));
   env.CrashAndRecoverFs(FaultEnv::CrashMode::kKeepRandomPrefix);
 
   const std::string repro =
@@ -234,10 +303,7 @@ TEST_F(CheckpointOrderNegativeControl, PruneBeforeCutLosesAckedCommits) {
     {
       auto db = Database::Open(TortureOptions(&env, broken));
       ASSERT_TRUE(db.ok());
-      run.a = (*(*db)->CreateState("a"))->id();
-      run.b = (*(*db)->CreateState("b"))->id();
-      run.g = (*db)->CreateGroup({run.a, run.b});
-      ASSERT_TRUE((*db)->Recover().ok());
+      DeclareSchema(**db, &run);
       for (int i = 0; i < 20; ++i) {
         const std::string value = std::to_string(i);
         auto t = (*db)->Begin();

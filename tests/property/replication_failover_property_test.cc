@@ -15,6 +15,9 @@
 //   3. Visible values were actually written (bounded by the last attempt)
 //      — torn bytes never invent data on the follower either.
 //   4. The promoted node accepts writes (it is a real database again).
+//   5. The promoted node restarts from its own directory: reopened as a
+//      standalone database, it passes the same checks and still holds
+//      its post-promotion write.
 //
 //   STREAMSI_TORTURE_SEEDS=100 ./build/property_replication_failover_property_test
 //
@@ -243,13 +246,29 @@ TEST_P(ReplicationFailoverTest, AckedCommitsSurvivePrimaryPowerCut) {
   EXPECT_FALSE(violation_detected) << repro;
 
   // The promoted node is a writable database again.
-  auto t = (*follower)->Begin();
-  ASSERT_TRUE(t.ok()) << repro;
-  ASSERT_TRUE(
-      (*follower)->txn_manager().Write((*t)->txn(), run.a, "post", "1").ok());
-  ASSERT_TRUE(
-      (*follower)->txn_manager().Write((*t)->txn(), run.b, "post", "1").ok());
-  EXPECT_TRUE((*t)->Commit().ok()) << repro;
+  {
+    auto t = (*follower)->Begin();
+    ASSERT_TRUE(t.ok()) << repro;
+    ASSERT_TRUE(
+        (*follower)->txn_manager().Write((*t)->txn(), run.a, "post", "1").ok());
+    ASSERT_TRUE(
+        (*follower)->txn_manager().Write((*t)->txn(), run.b, "post", "1").ok());
+    EXPECT_TRUE((*t)->Commit().ok()) << repro;
+  }
+
+  // Restart the promoted node from its own directory: a normal durable
+  // database by now, so it reopens standalone through the ordinary
+  // Open-time recovery and must hold everything it held before.
+  follower->reset();
+  DatabaseOptions reopen_options = FollowerTortureOptions(&follower_env);
+  reopen_options.replication = DatabaseOptions::Replication();
+  auto reopened = Database::Open(reopen_options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString() << "\n" << repro;
+  VerifyFollower(**reopened, run, repro + " (after restart)",
+                 &violation_detected);
+  EXPECT_FALSE(violation_detected) << repro;
+  EXPECT_EQ(ReadOne(**reopened, run.a, "post"), "1") << repro;
+  EXPECT_EQ(ReadOne(**reopened, run.b, "post"), "1") << repro;
 }
 
 std::uint64_t TortureSeedCount() {
