@@ -203,6 +203,19 @@ Status TransactionManager::DeriveIndexMutations(Transaction& txn) {
     VersionedStore* base_store = resolver_(base);
     const WriteSet* ws = txn.FindWriteSet(base);
     if (base_store == nullptr || ws == nullptr || ws->empty()) continue;
+    // Pre-images are read at the transaction's pinned snapshot of the base
+    // (pinned here if it never read the base). Validation then runs
+    // First-Committer-Wins against that same snapshot, so any commit the
+    // pre-image read could not see aborts this one — including a commit
+    // whose timestamp predates BOT but which was still applying when the
+    // pre-image was read.
+    Timestamp snapshot;
+    if (const auto cached = txn.CachedSnapshot(base)) {
+      snapshot = *cached;
+    } else {
+      snapshot = context_->PinReadCtsForState(txn.slot(), base);
+      txn.CacheSnapshot(base, snapshot);
+    }
     for (const IndexBinding& binding : it->second) {
       if (!binding.extractor) {
         return Status::Unavailable(
@@ -232,13 +245,12 @@ Status TransactionManager::DeriveIndexMutations(Transaction& txn) {
       ws->ForEachEffective([&](std::string_view key, std::string_view value,
                                bool is_delete) {
         if (!derive.ok()) return;
-        // Pre-image: the newest committed live version of the base row.
-        // This read is race-free under First-Committer-Wins: any commit
-        // that modifies this key between our BOT and our validation makes
-        // validation abort us, so a pre-image that passed validation was
-        // the version our commit supersedes.
+        // Pre-image: the base row at our snapshot. If validation passes,
+        // no commit modified the key after that snapshot, so this is the
+        // version our commit supersedes.
         pre_image.clear();
-        const bool had_old = base_store->ReadLatest(key, &pre_image).ok();
+        const bool had_old =
+            base_store->ReadCommitted(snapshot, key, &pre_image).ok();
         old_composite.clear();
         if (had_old && !extract(key, pre_image, &old_composite)) return;
         new_composite.clear();

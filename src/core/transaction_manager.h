@@ -194,8 +194,8 @@ class TransactionManager {
   void GlobalAbort(Transaction& txn);
   /// Commit-time index maintenance: for every written base state with
   /// bound indexes, folds the derived index mutations into the
-  /// transaction's write sets (see GlobalCommit for the FCW argument that
-  /// makes the pre-image read race-free).
+  /// transaction's write sets. Pre-images are read at the transaction's
+  /// snapshot of the base, which First-Committer-Wins then validates.
   Status DeriveIndexMutations(Transaction& txn);
   void ReleaseAll(Transaction& txn, bool committed);
   void Finish(Transaction& txn, bool committed);

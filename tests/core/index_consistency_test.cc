@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -342,6 +344,110 @@ TEST(IndexConsistencyTest, ReopenLeavesBindingPendingUntilRebind) {
     EXPECT_EQ(content.count("red"), 2u);
     ASSERT_TRUE((*t)->Commit().ok());
   }
+}
+
+// Deterministic repro of the stale-index-entry race. Commit X draws its
+// timestamp, then stalls applying an earlier state (version pressure under
+// a lagging reader pin) before it installs the base row. T begins after X's
+// timestamp was drawn, derives its index mutations — reading the base
+// pre-image — and blocks inside the extractor, which runs right after that
+// read. X then installs and publishes. A pre-image read that saw only
+// INSTALLED versions missed X, X's cts sits below T's BOT, and T committed:
+// its derived delete targeted the pre-X composite, leaving X's index entry
+// next to T's. Read at T's pinned snapshot instead, First-Committer-Wins
+// rejects T (X's cts is newer than that snapshot) and the index stays exact.
+TEST(IndexConsistencyTest, PreImageIsReadAtTheCommitsSnapshot) {
+  DatabaseOptions options;
+  // Two slots, no growth: a key with one pinned superseded version is full.
+  options.store_options.mvcc_slots = 2;
+  options.store_options.mvcc_slots_max = 2;
+  options.store_options.version_wait_micros = 30'000'000;
+  auto db = Database::Open(options);
+  ASSERT_TRUE(db.ok());
+  const StateId other = (*(*db)->CreateState("other"))->id();
+  auto base = (*db)->CreateState("rows");
+  ASSERT_TRUE(base.ok());
+  const StateId rows = (*base)->id();
+
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool in_extractor = false;
+  bool release = false;
+  auto index = (*db)->CreateIndex(
+      "rows", "rows_by_value",
+      [&](std::string_view, std::string_view value) {
+        if (value == "T") {  // only T's new row blocks
+          std::unique_lock<std::mutex> lock(gate_mutex);
+          in_extractor = true;
+          gate_cv.notify_all();
+          gate_cv.wait(lock, [&] { return release; });
+        }
+        return std::string(value);
+      });
+  ASSERT_TRUE(index.ok());
+  const StateId index_id = (*index)->id();
+
+  const auto commit_one = [&](StateId state, const std::string& key,
+                              const std::string& value) {
+    auto t = (*db)->Begin();
+    ASSERT_TRUE(t.ok());
+    ASSERT_TRUE((*t)->Write(state, key, value).ok());
+    ASSERT_TRUE((*t)->Commit().ok());
+  };
+  commit_one(rows, "k", "A");
+  commit_one(other, "hot", "v1");
+  // The reader pins "hot" at v1; v2 then fills the key's second slot.
+  auto reader = (*db)->Begin();
+  ASSERT_TRUE(reader.ok());
+  std::string value;
+  ASSERT_TRUE((*reader)->Read(other, "hot", &value).ok());
+  commit_one(other, "hot", "v2");
+
+  // X: "other" first, so its base install waits behind the pinned key.
+  Status x_status;
+  std::thread x([&] {
+    auto t = (*db)->Begin();
+    ASSERT_TRUE(t.ok());
+    ASSERT_TRUE((*t)->Write(other, "hot", "x").ok());
+    ASSERT_TRUE((*t)->Write(rows, "k", "X").ok());
+    x_status = (*t)->Commit();
+  });
+  VersionedStore* other_store = (*db)->GetState(other);
+  while (other_store->stats().version_wait_stalls.load() == 0) {
+    std::this_thread::yield();
+  }
+
+  Status t_status;
+  std::thread t_thread([&] {
+    auto t = (*db)->Begin();
+    ASSERT_TRUE(t.ok());
+    ASSERT_TRUE((*t)->Write(rows, "k", "T").ok());
+    t_status = (*t)->Commit();
+  });
+  {
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    gate_cv.wait(lock, [&] { return in_extractor; });
+  }
+  // T sits between its pre-image read and validation: let X finish.
+  ASSERT_TRUE((*reader)->Commit().ok());
+  x.join();
+  ASSERT_TRUE(x_status.ok()) << x_status.ToString();
+  {
+    std::lock_guard<std::mutex> lock(gate_mutex);
+    release = true;
+  }
+  gate_cv.notify_all();
+  t_thread.join();
+  EXPECT_TRUE(t_status.IsConflict()) << t_status.ToString();
+
+  auto check = (*db)->Begin();
+  ASSERT_TRUE(check.ok());
+  ASSERT_TRUE((*check)->Read(rows, "k", &value).ok());
+  const auto content = IndexContent(**check, index_id);
+  ASSERT_TRUE((*check)->Commit().ok());
+  ASSERT_EQ(content.size(), 1u) << "stale index entry survived";
+  EXPECT_EQ(content.begin()->first, value);
+  EXPECT_EQ(content.begin()->second, "k");
 }
 
 // The headline §4.3 property: under concurrent committers that move rows
