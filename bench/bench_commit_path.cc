@@ -94,7 +94,6 @@ CommitResult RunCommitters(SyncMode sync_mode, int committers,
   context.RegisterGroup({state});
 
   StoreOptions store_options;
-  store_options.write_through = false;  // isolate commit protocol + log cost
   VersionedStore store(state, "bench", std::make_unique<HashTableBackend>(),
                        store_options);
 
@@ -189,7 +188,6 @@ HotKeyResult RunHotKeyChurn(int committers, const std::string& dir) {
   context.RegisterGroup({state});
 
   StoreOptions store_options;
-  store_options.write_through = false;
   // Defaults on purpose: mvcc_slots = 8, growth to 64, 200 ms wait budget —
   // the production shape the partitioned stream stress runs with.
   VersionedStore store(state, "bench", std::make_unique<HashTableBackend>(),

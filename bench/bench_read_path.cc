@@ -94,7 +94,7 @@ RunResult RunReaders(VersionedStore& store, Dist dist, int readers,
       while (!stop.load(std::memory_order_relaxed)) {
         const std::string key = KeyFor(rng.Next() % kKeys);
         const Timestamp commit = ++ts;
-        (void)store.ApplyCommitted(key, value, false, commit, commit, false);
+        (void)store.ApplyCommitted(key, value, false, commit, commit);
       }
     });
   }
@@ -135,7 +135,6 @@ int main() {
   using namespace streamsi;
 
   StoreOptions options;
-  options.write_through = false;  // isolate the in-memory read path
   VersionedStore store(0, "bench", std::make_unique<HashTableBackend>(),
                        options);
   {

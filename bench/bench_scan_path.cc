@@ -76,7 +76,6 @@ int main() {
   using namespace streamsi;
 
   StoreOptions options;
-  options.write_through = false;  // isolate the in-memory scan path
 
   // ------------------------------------------------------ part 1: ranges ---
   VersionedStore store(0, "bench_scan", std::make_unique<HashTableBackend>(),
@@ -107,8 +106,7 @@ int main() {
         while (!stop.load(std::memory_order_relaxed)) {
           const std::string key = KeyFor(rng.Next() % kKeys);
           const Timestamp commit = ++ts;
-          (void)store.ApplyCommitted(key, value, false, commit, commit,
-                                     false);
+          (void)store.ApplyCommitted(key, value, false, commit, commit);
         }
       });
     }

@@ -95,7 +95,6 @@ RunResult RunStreamPath(SyncMode sync_mode, std::size_t lanes,
   context.RegisterGroup({state});
 
   StoreOptions store_options;
-  store_options.write_through = false;  // isolate stream + commit-path cost
   VersionedStore store(state, "stream_bench",
                        std::make_unique<HashTableBackend>(), store_options);
 

@@ -30,8 +30,9 @@ run_torture() {
   echo "==== crash-torture sweep: ${STREAMSI_TORTURE_SEEDS:-25} seeds ===="
   # Deterministic power-cut torture: committers + checkpoints + LSM flushes
   # race against FaultEnv, power dies mid-IO, the database reopens from the
-  # simulated survivors and the verifier checks zero acked losses + group
-  # atomicity. On failure the gtest output carries the seed and the fault
+  # simulated survivors and the verifier checks zero acked losses, group
+  # atomicity and base/index agreement (one state carries a secondary
+  # index). On failure the gtest output carries the seed and the fault
   # schedule — rerun a single seed with
   #   STREAMSI_TORTURE_SEEDS=<seed> ./build/property_crash_torture_property_test
   cmake -B "$REPO_ROOT/build" -S "$REPO_ROOT" >/dev/null
@@ -42,7 +43,8 @@ run_torture() {
       "$REPO_ROOT/build/property_crash_torture_property_test"
   # Two-node failover torture: the primary dies mid-ship under the same
   # seeded power cuts, the follower is promoted, and the verifier checks
-  # zero acked-commit loss + group atomicity on the promoted node. Rerun a
+  # zero acked-commit loss + group atomicity on the promoted node — and
+  # again after the promoted node restarts from its own directory. Rerun a
   # single seed with
   #   STREAMSI_TORTURE_SEEDS=<seed> \
   #       ./build/property_replication_failover_property_test

@@ -155,13 +155,14 @@ int main(int argc, char** argv) {
     Report(schema, "life 2 (recovered)  ");
 
     // Simulate a *torn group commit*: state `accounts` gets a version
-    // persisted, but the crash hits before the group commit record is
-    // written — as if the process died between phase 2 and phase 3.
+    // installed, but the crash hits before the commit's record is written —
+    // as if the process died between phase 2 and phase 3. The record is the
+    // commit's only redo, so nothing of it survives the restart.
     VersionedStore* store = schema.db->GetState(schema.accounts.id());
     const Timestamp torn = schema.db->context().clock().Next();
     (void)store->ApplyCommitted(EncodeToString<std::uint64_t>(0),
                                 EncodeToString<std::uint64_t>(424242), false,
-                                torn, 0, /*sync=*/true);
+                                torn, 0);
     std::printf("life 2: injected torn commit of account 0 at cts=%llu "
                 "(no group record)\n",
                 static_cast<unsigned long long>(torn));

@@ -6,6 +6,7 @@
 
 #include "common/env.h"
 #include "common/logging.h"
+#include "core/commit_record.h"
 #include "core/index_key.h"
 #include "replication/follower_applier.h"
 #include "replication/log_shipper.h"
@@ -62,11 +63,12 @@ Result<std::unique_ptr<Database>> Database::Open(
     return Status::InvalidArgument("replication primary requires a transport");
   }
 
-  const bool durable =
-      !db->follower_mode_ && !options.base_dir.empty() &&
-      options.backend_options.sync_mode != SyncMode::kNone &&
-      options.backend == BackendType::kLsm;
-  if (role == ReplicationRole::kPrimary && !durable) {
+  // Persistent states log every commit's redo; the sync mode decides only
+  // whether the log is fsynced.
+  const bool logged = !db->follower_mode_ && !options.base_dir.empty() &&
+                      options.backend == BackendType::kLsm;
+  if (role == ReplicationRole::kPrimary &&
+      (!logged || options.backend_options.sync_mode == SyncMode::kNone)) {
     // An acked-but-volatile commit shipped to a follower would survive the
     // primary while officially never having been durable — refuse the
     // ambiguity up front.
@@ -90,7 +92,7 @@ Result<std::unique_ptr<Database>> Database::Open(
   db->txn_manager_ = std::make_unique<TransactionManager>(
       &db->context_, db->protocol_.get(),
       [raw](StateId id) { return raw->GetState(id); }, db->group_log_.get(),
-      durable);
+      logged);
   // Health hooks: commits consult the admission gate before doing any work
   // (so a degraded database fails them fast, without IO or conflict
   // accounting) and report their IO failures for classification. Reads and
@@ -99,9 +101,6 @@ Result<std::unique_ptr<Database>> Database::Open(
   db->txn_manager_->SetHealthHooks(
       [raw] { return raw->AdmitCommit(); },
       [raw](const Status& status) { raw->NoteIoFailure(status); });
-  if (role == ReplicationRole::kPrimary) {
-    db->txn_manager_->SetReplicationEnabled(true);
-  }
   if (options.background_epoch_reclaim) {
     EpochManager::Global().StartBackgroundReclaimer(
         std::chrono::milliseconds(options.epoch_reclaim_interval_ms));
@@ -279,8 +278,9 @@ Result<VersionedStore*> Database::CreateStateInternal(
       id, name, std::move(backend).value(), options_.store_options);
   VersionedStore* raw = store.get();
 
-  const bool has_data = store->backend()->IsPersistent() &&
-                        store->backend()->ApproximateCount() > 0;
+  const bool store_persistent = store->backend()->IsPersistent();
+  const bool has_data =
+      store_persistent && store->backend()->ApproximateCount() > 0;
   if (declared == nullptr && has_data) {
     // Pre-catalog directory reopened by a re-declaring application (the
     // upgrade path): load inline, as every life before the catalog did.
@@ -319,10 +319,11 @@ Result<VersionedStore*> Database::CreateStateInternal(
     // recovery watermark. Registered under the same latch hold as the
     // catalog append above, so replay reproduces the id sequence.
     singleton_groups_[id] = context_.RegisterGroup({id});
-    // Inline-loaded after recovery already ran (partially-upgraded
-    // directory): the loaded versions have not been purged against any
-    // watermark — the app's Recover() call must still do that.
-    if (has_data && recovered_) post_recovery_loads_.push_back(id);
+    // Declared after recovery already ran (partially-upgraded directory):
+    // the inline-loaded images have not been purged against any watermark,
+    // and the log records above them have not been replayed — the app's
+    // Recover() call must still do both.
+    if (recovered_ && store_persistent) post_recovery_loads_.push_back(id);
   }
   return raw;
 }
@@ -544,30 +545,19 @@ Status Database::Recover() {
       if (!replayed.ok()) return replayed.status();
       for (const auto& [group, cts] : replayed.value()) {
         if (cts > context_.LastCts(group)) context_.SetLastCts(group, cts);
+        context_.clock().AdvanceTo(cts);
       }
     }
-    const auto is_committed = [&replay_info](Timestamp cts) {
-      return replay_info.committed_cts.count(cts) != 0;
-    };
-    Timestamp max_ts = kInitialTs;
+    // Clock past everything the images hold, purged versions included (see
+    // RecoverInternal); the replayed records are below the group maxima
+    // advanced above.
     for (VersionedStore* store : late_loaded) {
-      Timestamp covered = kInitialTs;
-      for (GroupId group : context_.GroupsOf(store->id())) {
-        auto it = replay_info.cut_watermarks.find(group);
-        if (it != replay_info.cut_watermarks.end()) {
-          covered = std::max(covered, it->second);
-        }
-      }
-      const std::uint64_t purged =
-          store->PurgeUncommittedVersions(covered, is_committed);
-      if (purged > 0) {
-        STREAMSI_INFO("recovery purged " << purged << " versions of state '"
-                                         << store->name()
-                                         << "' beyond the commit-record set");
-      }
-      max_ts = std::max(max_ts, store->MaxCommittedCts());
+      context_.clock().AdvanceTo(store->MaxCommittedCts());
+      PurgeRecoveredImage(store, replay_info);
     }
-    context_.clock().AdvanceTo(max_ts);
+    if (group_log_ != nullptr) {
+      STREAMSI_RETURN_NOT_OK(ReplayLogData(replay_info, late_loaded));
+    }
     return Status::OK();
   }
   return RecoverInternal();
@@ -595,6 +585,9 @@ Status Database::RecoverInternal() {
     context_.SetLastCts(group, cts);
     max_ts = std::max(max_ts, cts);
   }
+  // Before the redo below: its GC floor is bounded by the clock, and a
+  // replay under a stale clock could reclaim nothing.
+  context_.clock().AdvanceTo(max_ts);
 
   // Work list: snapshot the stores (and consume the deferred catalog
   // loads) under the latch; the heavy lifting runs outside it.
@@ -611,18 +604,9 @@ Status Database::RecoverInternal() {
     pending_loads_.clear();
   }
 
-  // Parallel recovery: LoadFromBackend + purge are per-store work with no
-  // shared mutable state (the epoch manager and context reads are
-  // thread-safe), so fan out across a small pool. Purge rule: a version
-  // survives iff its cts is covered by the checkpoint cut of one of the
-  // store's groups OR appears in the replayed commit-record set. The exact
-  // set (not just the per-group max) matters: a commit aborted at the
-  // durability point can hold a cts below a later commit that did log, and
-  // its partially-applied versions resurrecting in SOME stores would break
-  // group atomicity.
-  const auto is_committed = [&replay_info](Timestamp cts) {
-    return replay_info.committed_cts.count(cts) != 0;
-  };
+  // Parallel recovery: loading and purging the images are per-store work
+  // with no shared mutable state (the epoch manager and context reads are
+  // thread-safe), so fan out across a small pool.
   std::atomic<std::size_t> next_index{0};
   std::atomic<Timestamp> recovered_max{max_ts};
   std::mutex error_mutex;
@@ -640,21 +624,11 @@ Status Database::RecoverInternal() {
           continue;
         }
       }
-      Timestamp covered = kInitialTs;
-      for (GroupId group : context_.GroupsOf(store->id())) {
-        auto it = replay_info.cut_watermarks.find(group);
-        if (it != replay_info.cut_watermarks.end()) {
-          covered = std::max(covered, it->second);
-        }
-      }
-      const std::uint64_t purged =
-          store->PurgeUncommittedVersions(covered, is_committed);
-      if (purged > 0) {
-        STREAMSI_INFO("recovery purged " << purged << " versions of state '"
-                                         << store->name()
-                                         << "' beyond the commit-record set");
-      }
+      // Taken BEFORE the purge: the clock must pass even the timestamps of
+      // purged versions, which stay in the backend until the next image —
+      // a later commit reusing one would make it look logged.
       const Timestamp store_max = store->MaxCommittedCts();
+      PurgeRecoveredImage(store, replay_info);
       Timestamp cur = recovered_max.load(std::memory_order_relaxed);
       while (store_max > cur && !recovered_max.compare_exchange_weak(
                                     cur, store_max,
@@ -677,12 +651,76 @@ Status Database::RecoverInternal() {
   }
   if (!first_error.ok()) return first_error;
 
+  // Redo: the log records above each store's cut, in log order. Their
+  // timestamps are all in the replayed group watermarks, so the clock
+  // fast-forward below covers them.
+  STREAMSI_RETURN_NOT_OK(ReplayLogData(replay_info, stores));
+
   context_.clock().AdvanceTo(recovered_max.load(std::memory_order_relaxed));
   {
     ExclusiveGuard guard(stores_latch_);
     recovered_ = true;
   }
   return Status::OK();
+}
+
+Timestamp Database::CoveredCts(
+    StateId state,
+    const std::unordered_map<GroupId, Timestamp>& cut) const {
+  // Every commit on a state advances all of its groups, and every group's
+  // cut is clamped below the in-flight commits, so the max is still a point
+  // at or below which all of the state's commits had finished.
+  Timestamp covered = kInitialTs;
+  for (GroupId group : context_.GroupsOf(state)) {
+    const auto it = cut.find(group);
+    if (it != cut.end()) covered = std::max(covered, it->second);
+  }
+  return covered;
+}
+
+void Database::PurgeRecoveredImage(VersionedStore* store,
+                                   const GroupCommitLog::ReplayInfo& info) {
+  // A version survives iff its cts is covered by the store's checkpoint cut
+  // OR appears in the replayed commit-record set. Images written at a
+  // checkpoint hold only versions at or below its cut, so this purges
+  // nothing from them; it exists for blobs written through at commit time
+  // (directories from before commits carried their data), which can hold a
+  // commit aborted at the durability point — possibly with a cts below a
+  // later commit that did log, so only the exact set tells them apart.
+  const std::uint64_t purged = store->PurgeUncommittedVersions(
+      CoveredCts(store->id(), info.cut_watermarks),
+      [&info](Timestamp cts) { return info.committed_cts.count(cts) != 0; });
+  if (purged > 0) {
+    STREAMSI_INFO("recovery purged " << purged << " versions of state '"
+                                     << store->name()
+                                     << "' beyond the commit-record set");
+  }
+}
+
+Status Database::ReplayLogData(const GroupCommitLog::ReplayInfo& info,
+                               const std::vector<VersionedStore*>& stores) {
+  std::unordered_map<StateId, std::pair<VersionedStore*, Timestamp>> targets;
+  for (VersionedStore* store : stores) {
+    targets[store->id()] = {store, CoveredCts(store->id(), info.cut_watermarks)};
+  }
+  CommitRecord record;
+  return GroupCommitLog::ReplayCommits(
+      GroupLogPath(), info.first_segment,
+      [&](std::string_view payload) {
+        STREAMSI_RETURN_NOT_OK(DecodeCommitRecord(payload, &record));
+        return ReplayCommitWriteSets(
+            record,
+            [&](StateId state, VersionedStore** store) {
+              // At or below the store's cut, its image holds the versions.
+              const auto it = targets.find(state);
+              *store = it != targets.end() && record.cts > it->second.second
+                           ? it->second.first
+                           : nullptr;
+              return Status::OK();
+            },
+            &context_);
+      },
+      env_);
 }
 
 HealthReport Database::Health() const {
@@ -823,36 +861,24 @@ Status Database::DoCheckpoint() {
   // keep flowing throughout.
   std::lock_guard<std::mutex> guard(checkpoint_mutex_);
 
-  // 1. Backends durable: every sealed/active memtable flushed, so each
-  //    store's own recovery work is also reset to "since this checkpoint".
-  {
-    std::vector<VersionedStore*> stores;
-    {
-      SharedGuard stores_guard(stores_latch_);
-      stores.reserve(stores_.size());
-      for (const auto& store : stores_) stores.push_back(store.get());
-    }
-    for (VersionedStore* store : stores) {
-      STREAMSI_RETURN_NOT_OK(store->backend()->Flush());
-    }
-  }
-
-  // 2. Fresh segment: every commit record from here on lands after the
+  // 1. Fresh segment: every commit record from here on lands after the
   //    upcoming cut.
   STREAMSI_RETURN_NOT_OK(group_log_->RotateSegment());
 
-  // 3. Drain the publication gate: a commit registers in flight BEFORE its
+  // 2. Drain the publication gate: a commit registers in flight BEFORE its
   //    durable record, so every commit whose record could live in the old
   //    segments has, after this, either published (its LastCTS advance is
   //    visible to the cut) or purged its versions. Deleting the old chain
   //    can therefore never lose an acked commit.
   context_.DrainInflightCommits();
 
-  // 4. One publication-seqlock-consistent cut of every group's LastCTS,
+  // 3. One publication-seqlock-consistent cut of every group's LastCTS,
   //    clamped below every commit that registered after the drain and is
-  //    still in flight.
+  //    still in flight: every commit at or below it has finished.
   std::vector<std::pair<GroupId, Timestamp>> cut;
   context_.SnapshotCheckpointCut(&cut);
+  const std::unordered_map<GroupId, Timestamp> cut_by_group(cut.begin(),
+                                                            cut.end());
 
   if (options_.test_hooks.checkpoint_prune_before_cut) {
     // NEGATIVE CONTROL (tests only): prune the old chain BEFORE the cut is
@@ -863,12 +889,33 @@ Status Database::DoCheckpoint() {
     STREAMSI_RETURN_NOT_OK(group_log_->PruneObsoleteSegments());
   }
 
-  // 5. Durable checkpoint record. Any failure up to here (fault-injection
+  // 4. Images: each store writes every key modified since its last image,
+  //    holding only the versions at or below the store's cut (the same
+  //    CoveredCts recovery replays above). Every old-segment commit is at or
+  //    below it, so the images hold everything the prune below deletes.
+  // 5. Then every backend flushes: the images are durable before the cut
+  //    record that relies on them.
+  std::vector<VersionedStore*> stores;
+  {
+    SharedGuard stores_guard(stores_latch_);
+    stores.reserve(stores_.size());
+    for (const auto& store : stores_) stores.push_back(store.get());
+  }
+  for (VersionedStore* store : stores) {
+    STREAMSI_RETURN_NOT_OK(
+        store->WriteCheckpointImages(CoveredCts(store->id(), cut_by_group)));
+  }
+  for (VersionedStore* store : stores) {
+    STREAMSI_RETURN_NOT_OK(store->backend()->Flush());
+  }
+
+  // 6. Durable checkpoint record. Any failure up to here (fault-injection
   //    tested) leaves the previous chain authoritative: nothing has been
-  //    deleted, and replay max-merges the rotated segment with the chain.
+  //    deleted, replay max-merges the rotated segment with the chain, and
+  //    log replay skips the versions newer images already hold.
   STREAMSI_RETURN_NOT_OK(group_log_->WriteCheckpoint(cut.data(), cut.size()));
 
-  // 6. The old chain is subsumed by the cut: truncate.
+  // 7. The old chain is subsumed by the cut: truncate.
   STREAMSI_RETURN_NOT_OK(group_log_->PruneObsoleteSegments());
   checkpoints_completed_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
@@ -896,10 +943,10 @@ Status Database::Promote() {
                                first_health_error_.ToString());
   }
   // 2. Promotion IS recovery: the standard parallel recovery replays the
-  //    shipped chain (equal to the applied state now that the drain caught
-  //    up), purges any version beyond the exact committed-record set and
-  //    fast-forwards the clock — the same machinery a crashed primary
-  //    restarts through, torture-tested in both roles.
+  //    shipped chain (a no-op on top of the applied state now that the
+  //    drain caught up), purges any version beyond the exact committed-
+  //    record set and fast-forwards the clock — the same machinery a
+  //    crashed primary restarts through, torture-tested in both roles.
   STREAMSI_RETURN_NOT_OK(RecoverInternal());
   // 3. Take over the chain as OUR durable log. Open() retires a torn
   //    newest segment in place, so new commit records never land behind
@@ -914,15 +961,14 @@ Status Database::Promote() {
   STREAMSI_RETURN_NOT_OK(catalog->Open(CatalogPath()));
   group_log_ = std::move(log);
   catalog_ = std::move(catalog);
-  const bool durable =
-      options_.backend_options.sync_mode != SyncMode::kNone &&
-      options_.backend == BackendType::kLsm;
   // Quiescent by construction: an unpromoted follower admits no write
   // commit, so no commit is in flight while the log is swapped in.
-  txn_manager_->SetGroupLog(group_log_.get(), durable);
-  // Keep writing data-carrying records: a fresh follower can attach to the
-  // promoted node's chain.
-  txn_manager_->SetReplicationEnabled(true);
+  txn_manager_->SetGroupLog(group_log_.get(),
+                            options_.backend == BackendType::kLsm);
+  // 4. A checkpoint of its own: the applier wrote nothing into the
+  //    backends, so the promoted node's images are written now, under a cut
+  //    of its own — a restart must not depend on the old primary's chain.
+  STREAMSI_RETURN_NOT_OK(DoCheckpoint());
   promoted_.store(true, std::memory_order_release);
   if (options_.checkpoint_interval_ms > 0 && !checkpointer_.joinable()) {
     checkpointer_ = std::thread(&Database::CheckpointLoop, this);

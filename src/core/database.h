@@ -36,7 +36,7 @@ struct DatabaseOptions {
   BackendType backend = BackendType::kHash;
   /// Backend tuning (path is derived per state from base_dir).
   BackendOptions backend_options;
-  /// Store tuning (version slots, write-through, sync).
+  /// Store tuning (version slots, growth, writer backpressure).
   StoreOptions store_options;
   /// Directory for persistent data (LSM backends + group commit log).
   /// Empty => fully volatile database.
@@ -50,9 +50,10 @@ struct DatabaseOptions {
   /// Reclaimer cadence (milliseconds between drain passes).
   std::uint32_t epoch_reclaim_interval_ms = 1;
   /// Background checkpoint cadence (milliseconds); 0 = manual Checkpoint()
-  /// only. Each checkpoint flushes every store's backend, snapshots all
-  /// groups' LastCTS and truncates the group-commit log, so restart work
-  /// stays bounded by data since the last checkpoint.
+  /// only. Each checkpoint snapshots all groups' LastCTS, writes every
+  /// store's images up to that cut into its backend and truncates the
+  /// group-commit log, so restart work stays bounded by data since the last
+  /// checkpoint.
   std::uint32_t checkpoint_interval_ms = 0;
   /// Threads for parallel recovery (LoadFromBackend + version purge fan out
   /// across stores); 0 = hardware concurrency.
@@ -186,16 +187,19 @@ class Database {
   VersionedStore* FindState(const std::string& name);
 
   /// Restores group LastCTS from the commit log (starting at the newest
-  /// checkpoint), purges versions from unfinished group commits and
-  /// fast-forwards the clock; LoadFromBackend + purge fan out across
-  /// stores on a thread pool. Runs automatically inside Open when a
-  /// catalog exists; calling it again is a no-op, so legacy code that
-  /// re-declares its schema and then calls Recover() keeps working.
+  /// checkpoint), loads every store's checkpoint images (LoadFromBackend +
+  /// purge fan out across stores on a thread pool), replays the log
+  /// records above each store's cut and fast-forwards the clock. Runs
+  /// automatically inside Open when a catalog exists; calling it again is a
+  /// no-op, so legacy code that re-declares its schema and then calls
+  /// Recover() keeps working.
   Status Recover();
 
-  /// Durability checkpoint: flushes every store's backend, rotates the
-  /// group-commit log to a fresh segment, drains in-flight commits, writes
-  /// one publication-seqlock-consistent LastCTS cut as a durable checkpoint
+  /// Durability checkpoint: rotates the group-commit log to a fresh
+  /// segment, drains in-flight commits, takes one publication-seqlock-
+  /// consistent LastCTS cut, writes each store's images of the keys
+  /// modified since their last image (versions at or below the cut) and
+  /// flushes every backend, then writes the cut as a durable checkpoint
   /// record and deletes the obsolete segments. Restart work (and log disk
   /// footprint) is thereafter bounded by data since this checkpoint. Safe
   /// to call concurrently with commits; checkpoint calls serialize among
@@ -232,15 +236,13 @@ class Database {
   /// completed is NOT a reason to fail, but a sticky Corruption is), then
   /// the standard parallel recovery replays the shipped chain, purges
   /// anything beyond the exact committed-record set and fast-forwards the
-  /// clock; finally the chain is reopened for appending (a torn newest
-  /// segment is retired exactly like a crashed primary's would be) and the
-  /// commit path flips writable. Idempotent. The promoted database keeps
-  /// writing kReplicatedCommit records, so a fresh follower can attach to
-  /// its chain (as long as no checkpoint has pruned it yet — a follower
-  /// refuses a chain that does not start at its birth). To restart a
-  /// promoted node from disk, reopen its directory as a standalone (or
-  /// primary) database: it is a normal durable directory by then, and the
-  /// standard Open-time recovery applies.
+  /// clock; the chain is reopened for appending (a torn newest segment is
+  /// retired exactly like a crashed primary's would be); a checkpoint of
+  /// the node's own writes its images and prunes the shipped chain; and
+  /// the commit path flips writable. Idempotent. To restart a promoted
+  /// node from disk, reopen its directory as a standalone (or primary)
+  /// database: it is a normal durable directory by then, and the standard
+  /// Open-time recovery applies.
   Status Promote();
 
   /// Manual replication pumping (manual_pump mode and tests): one ship
@@ -282,6 +284,17 @@ class Database {
   /// primary declared since.
   Status ApplyCatalogTail();
   Status RecoverInternal();
+  /// The store's checkpoint cut: the max cut over its groups. Images hold
+  /// the versions at or below it; recovery replays the log above it.
+  Timestamp CoveredCts(StateId state,
+                       const std::unordered_map<GroupId, Timestamp>& cut) const;
+  /// Set-based purge of what a store loaded from its backend.
+  void PurgeRecoveredImage(VersionedStore* store,
+                           const GroupCommitLog::ReplayInfo& info);
+  /// Replays the data-carrying log records above each of `stores`' cuts,
+  /// in log order (other states' blocks are skipped).
+  Status ReplayLogData(const GroupCommitLog::ReplayInfo& info,
+                       const std::vector<VersionedStore*>& stores);
   /// The checkpoint protocol body; Checkpoint() wraps it with health
   /// admission and failure classification.
   Status DoCheckpoint();
@@ -350,11 +363,12 @@ class Database {
   /// Catalog-reopened states whose backend data has not been loaded yet;
   /// RecoverInternal drains this in parallel. Under stores_latch_.
   std::vector<StateId> pending_loads_;
-  /// States inline-loaded (pre-catalog upgrade path) AFTER recovery
+  /// Persistent states declared (pre-catalog upgrade path) AFTER recovery
   /// already ran — a partially-upgraded directory can reopen with a
   /// catalog covering only some states; the app's re-declaration of the
-  /// rest loads them with no purge applied. The next Recover() call
-  /// purges + clock-advances exactly these. Under stores_latch_.
+  /// rest loads their images with no purge and no log replay applied. The
+  /// next Recover() call purges, replays + clock-advances exactly these.
+  /// Under stores_latch_.
   std::vector<StateId> post_recovery_loads_;
   bool recovered_ = false;  ///< under stores_latch_
 

@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "common/coding.h"
-#include "common/small_vec.h"
+#include "core/commit_record.h"
 
 namespace streamsi {
 
@@ -24,34 +24,17 @@ Status ReplaySegment(Env* env, const std::string& path,
         const char* p = payload.data();
         const char* limit = p + payload.size();
         switch (type) {
-          // kReplicatedCommit = kGroupCommit prefix + the commit's write
-          // sets appended; the prefix decode below reads exactly the prefix
-          // and ignores the suffix, so both kinds share one case.
+          // kReplicatedCommit = the kGroupCommit prefix + the commit's
+          // write sets; only the prefix matters here.
           case WalRecordType::kReplicatedCommit:
           case WalRecordType::kGroupCommit: {
-            std::uint32_t count = 0;
-            p = GetVarint32(p, limit, &count);
-            if (p == nullptr) return Status::Corruption("bad group count");
-            // Bounded by the payload itself: each group id is >= 1 byte.
-            if (count > payload.size()) {
-              return Status::Corruption("group count exceeds record");
-            }
-            SmallVec<GroupId, 64> ids;
-            for (std::uint32_t i = 0; i < count && p != nullptr; ++i) {
-              GroupId id = kInvalidGroupId;
-              p = GetVarint32(p, limit, &id);
-              if (p != nullptr) ids.push_back(id);
-            }
-            std::uint64_t cts = 0;
-            if (p != nullptr) p = GetVarint64(p, limit, &cts);
-            if (p == nullptr) {
-              return Status::Corruption("bad group commit record");
-            }
-            for (GroupId id : ids) {
+            CommitRecord record;
+            STREAMSI_RETURN_NOT_OK(DecodeCommitRecord(payload, &record));
+            for (GroupId id : record.groups) {
               Timestamp& entry = (*result)[id];
-              entry = std::max(entry, cts);
+              entry = std::max(entry, record.cts);
             }
-            info->committed_cts.insert(cts);
+            info->committed_cts.insert(record.cts);
             return Status::OK();
           }
           case WalRecordType::kCheckpointCut: {
@@ -158,7 +141,7 @@ Status GroupCommitLog::Open(const std::string& path) {
 
 Status GroupCommitLog::RecordCommit(const GroupId* groups, std::size_t count,
                                     Timestamp cts, bool sync,
-                                    std::string_view replicated_data) {
+                                    std::string_view write_sets) {
   if (failures_to_inject_.load(std::memory_order_relaxed) > 0 &&
       failures_to_inject_.fetch_sub(1, std::memory_order_relaxed) > 0) {
     return Status::IoError("injected group-commit log failure");
@@ -168,10 +151,10 @@ Status GroupCommitLog::RecordCommit(const GroupId* groups, std::size_t count,
   PutVarint32(&payload, static_cast<std::uint32_t>(count));
   for (std::size_t i = 0; i < count; ++i) PutVarint32(&payload, groups[i]);
   PutVarint64(&payload, cts);
-  if (replicated_data.empty()) {
+  if (write_sets.empty()) {
     return writer_.Append(WalRecordType::kGroupCommit, payload, sync);
   }
-  payload.append(replicated_data.data(), replicated_data.size());
+  payload.append(write_sets.data(), write_sets.size());
   return writer_.Append(WalRecordType::kReplicatedCommit, payload, sync);
 }
 
@@ -289,6 +272,7 @@ Result<std::unordered_map<GroupId, Timestamp>> GroupCommitLog::Replay(
                                          &result, &local, &has_checkpoint,
                                          &local.records));
     ++local.segments_replayed;
+    local.first_segment = numbers[i];
     if (has_checkpoint) {
       local.from_checkpoint = true;
       break;
@@ -296,6 +280,25 @@ Result<std::unordered_map<GroupId, Timestamp>> GroupCommitLog::Replay(
   }
   if (info != nullptr) *info = local;
   return result;
+}
+
+Status GroupCommitLog::ReplayCommits(
+    const std::string& path, std::uint64_t first_segment,
+    const std::function<Status(std::string_view payload)>& fn, Env* env) {
+  if (env == nullptr) env = Env::Default();
+  std::vector<std::uint64_t> numbers;
+  STREAMSI_RETURN_NOT_OK(ListSegments(env, path, &numbers));
+  for (std::uint64_t n : numbers) {
+    if (n < first_segment) continue;
+    STREAMSI_RETURN_NOT_OK(WalReader::Replay(
+        SegmentPath(path, n),
+        [&](WalRecordType type, std::string_view payload) {
+          return type == WalRecordType::kReplicatedCommit ? fn(payload)
+                                                          : Status::OK();
+        },
+        nullptr, env));
+  }
+  return Status::OK();
 }
 
 }  // namespace streamsi

@@ -4,23 +4,27 @@
 // §4.1: "the last committed transaction (LastCTS) per group is recorded.
 // For recovery purposes, this information needs to be persistent."
 //
-// The log is a chain of append-only segments. Commits append kGroupCommit
-// records (one commit's whole multi-group publication as a single
-// all-or-nothing record, riding a WalWriter group-commit batch); replay
-// keeps the newest CTS per group AND the exact set of replayed commit
-// timestamps. Recovery keeps a state version iff its CTS is covered by a
-// checkpoint cut or appears in that set — a commit that never logged its
-// record (aborted at the durability point) is purged from every store even
-// when a concurrent commit with a larger CTS did log, which is what keeps
-// multiple states of one query mutually consistent across crashes.
+// The log is a chain of append-only segments and the database's one redo
+// log. Each commit appends one kReplicatedCommit record — its whole
+// multi-group publication plus its write sets (core/commit_record.h), all
+// or nothing, riding a WalWriter group-commit batch. Replay keeps the
+// newest CTS per group AND the exact set of replayed commit timestamps;
+// ReplayCommits then hands the records out in log order for data replay.
+// Recovery keeps a backend-image version iff its CTS is covered by a
+// checkpoint cut or appears in that set — images written before commits
+// carried their data may hold a commit that never logged its record
+// (aborted at the durability point), and it must be purged from every
+// store even when a concurrent commit with a larger CTS did log.
 //
 // Checkpoints bound the chain (Database::Checkpoint drives the protocol):
 //   1. RotateSegment()   — later commit records land in a fresh segment.
-//   2. (the database drains in-flight commits and takes one
-//      publication-seqlock-consistent LastCTS cut)
+//   2. (the database drains in-flight commits, takes one
+//      publication-seqlock-consistent LastCTS cut, writes every store's
+//      images at or below it and flushes the backends)
 //   3. WriteCheckpoint() — the cut becomes a durable kCheckpointCut record
 //      in the new segment; it subsumes every record in OLDER segments
-//      (their commits published before the cut was taken).
+//      (their commits published before the cut was taken, so the images
+//      hold their versions).
 //   4. PruneObsoleteSegments() — older segments are deleted.
 // Replay walks segments newest -> oldest until it finds one containing a
 // complete checkpoint cut and max-merges that segment and everything newer,
@@ -34,6 +38,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -60,15 +65,14 @@ class GroupCommitLog {
   Status Open(const std::string& path);
 
   /// Appends one commit's whole publication — every affected group advances
-  /// to `cts` — as a single all-or-nothing record. The payload buffer is
-  /// thread-local and reused, so steady-state commits encode without heap
-  /// allocation. When `replicated_data` is non-empty the record is written
-  /// as kReplicatedCommit with that buffer appended after the group/cts
-  /// prefix — the write sets ride the same record so a shipped log replays
-  /// on a follower with no other data channel (still ONE Append+Sync per
-  /// group-commit batch; shipping itself stays off the commit path).
+  /// to `cts` — and its encoded `write_sets` as a single all-or-nothing
+  /// kReplicatedCommit record (still ONE Append+Sync per group-commit
+  /// batch). The payload buffer is thread-local and reused, so steady-state
+  /// commits encode without heap allocation. Empty `write_sets` writes a
+  /// data-less kGroupCommit record, the format of directories whose data
+  /// lives in backend blobs (kept for tests that build such directories).
   Status RecordCommit(const GroupId* groups, std::size_t count, Timestamp cts,
-                      bool sync, std::string_view replicated_data = {});
+                      bool sync, std::string_view write_sets = {});
 
   /// Records written / batches synced (group-commit amortization ratio).
   std::uint64_t batches_written() const { return writer_.batches_written(); }
@@ -138,6 +142,9 @@ class GroupCommitLog {
     std::uint64_t segments_replayed = 0;
     std::uint64_t records = 0;
     bool from_checkpoint = false;
+    /// Oldest segment replayed (the one holding the newest complete cut):
+    /// where ReplayCommits starts.
+    std::uint64_t first_segment = 0;
     /// Exact timestamps of the individual commit records replayed
     /// (kGroupCommit, kReplicatedCommit + legacy kCheckpoint). Recovery needs the exact set,
     /// not just the per-group max: a commit whose record never landed
@@ -160,6 +167,14 @@ class GroupCommitLog {
       const std::string& path, ReplayInfo* info = nullptr,
       Env* env = nullptr);
 
+  /// Hands every kReplicatedCommit payload of segments >= `first_segment`
+  /// to `fn` in log order — for each key, its cts order, because a key's
+  /// commit lock is held until its record is durable.
+  static Status ReplayCommits(
+      const std::string& path, std::uint64_t first_segment,
+      const std::function<Status(std::string_view payload)>& fn,
+      Env* env = nullptr);
+
   Status Close() { return writer_.Close(); }
 
   /// OK, or the first IO error that poisoned the underlying writer (every
@@ -179,8 +194,9 @@ class GroupCommitLog {
   /// fault is consumed by the first checkpoint that reaches the point).
   enum class CheckpointFault {
     kNone,
-    kBeforeRotate,            ///< between backend flush and segment rotation
-    kBeforeCheckpointRecord,  ///< rotated, but the cut record never lands
+    kBeforeRotate,            ///< the checkpoint dies before it starts
+    kBeforeCheckpointRecord,  ///< images written and backends flushed, but
+                              ///< the cut record never lands
     kBeforePrune,             ///< cut durable, old segments never deleted
   };
   void InjectCheckpointFault(CheckpointFault fault) {

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "common/coding.h"
 #include "common/logging.h"
+#include "core/commit_record.h"
 #include "core/index_key.h"
 
 namespace streamsi {
@@ -361,9 +361,9 @@ Status TransactionManager::GlobalCommit(Transaction& txn) {
     return status;
   }
 
-  // --- Phase 2: apply. All states become visible atomically because the
-  // new versions carry a commit timestamp no reader has pinned yet; the
-  // groups' LastCTS advances only after every state is durable. The GC
+  // --- Phase 2: apply, in memory only. All states become visible atomically
+  // because the new versions carry a commit timestamp no reader has pinned
+  // yet; the groups' LastCTS advances only after the record is durable. The GC
   // watermark is LAZY: the two-scan OldestActiveVersionFor handshake runs
   // only if some key's version array is actually full (generation-cached
   // per store), instead of once per written store on every commit. --------
@@ -392,9 +392,8 @@ Status TransactionManager::GlobalCommit(Transaction& txn) {
                   &TransactionManager::WaitForStoreGcFloor);
     status = protocol_->Apply(txn, *store, commit_ts, floor);
     if (!status.ok()) {
-      // Apply failures (e.g. IO errors) after partial installation are
-      // resolved by recovery: LastCTS was never advanced, so the versions
-      // of this commit are purged on restart. In-memory, purge right away.
+      // Apply failures (e.g. version pressure past the wait budget) after a
+      // partial installation: nothing was logged, so purge right away.
       purge_own_writes();  // before retiring: the clamp may rise past us
       context_->RetireCommitTimestamp(txn.slot());
       protocol_->PostCommit(txn, commit_ts, /*committed=*/false);
@@ -404,48 +403,27 @@ Status TransactionManager::GlobalCommit(Transaction& txn) {
     }
   }
 
-  // --- Phase 3: durability point. One group-commit record covers ALL of
-  // this commit's groups (atomic on disk) and rides a WAL group-commit
+  // --- Phase 3: durability point. One record covers ALL of this commit's
+  // groups and its write sets (atomic on disk) and rides a WAL group-commit
   // batch shared with concurrent committers. A failed durable record FAILS
   // THE COMMIT: nothing was published, so the installed versions are purged
   // and the transaction aborts — publishing anyway would hand out data that
-  // recovery is guaranteed to roll back. ---------------------------------
+  // recovery cannot rebuild. ---------------------------------------------
   SmallVec<GroupId, kInlineCommitStates> groups;
   for (StateId state : written) {
     context_->CollectGroupsOf(state, &groups);
   }
   if (group_log_ != nullptr && durable_group_log_ && !groups.empty()) {
-    // Replication piggybacks the write sets onto the SAME record (still one
-    // Append+Sync per group-commit batch): a follower replays data from the
-    // shipped log alone. Encoded into a reused thread-local buffer, like
-    // the record prefix itself.
-    std::string_view replicated_data;
-    if (replicate_commits_) {
-      thread_local std::string ship_payload;
-      ship_payload.clear();
-      PutVarint32(&ship_payload, static_cast<std::uint32_t>(written.size()));
-      for (StateId state : written) {
-        const WriteSet* ws = txn.FindWriteSet(state);
-        PutVarint32(&ship_payload, state);
-        PutVarint32(&ship_payload,
-                    static_cast<std::uint32_t>(ws->entries().size()));
-        ws->ForEachEffective([&](std::string_view key, std::string_view value,
-                                 bool is_delete) {
-          PutVarint32(&ship_payload, static_cast<std::uint32_t>(key.size()));
-          ship_payload.append(key.data(), key.size());
-          ship_payload.push_back(is_delete ? '\1' : '\0');
-          if (!is_delete) {
-            PutVarint32(&ship_payload,
-                        static_cast<std::uint32_t>(value.size()));
-            ship_payload.append(value.data(), value.size());
-          }
-        });
-      }
-      replicated_data = ship_payload;
-    }
+    // The record carries the write sets: it is the commit's only redo
+    // (recovery replays it above the checkpoint cut, a follower replays it
+    // from the shipped log). Encoded into a reused thread-local buffer,
+    // like the record prefix itself.
+    thread_local std::string write_sets;
+    write_sets.clear();
+    EncodeCommitWriteSets(txn, written.data(), written.size(), &write_sets);
     const Status log_status =
         group_log_->RecordCommit(groups.data(), groups.size(), commit_ts,
-                                 /*sync=*/true, replicated_data);
+                                 /*sync=*/true, write_sets);
     if (!log_status.ok()) {
       STREAMSI_WARN("group commit log write failed, aborting commit: "
                     << log_status.ToString());

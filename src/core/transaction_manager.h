@@ -168,11 +168,6 @@ class TransactionManager {
     return commit_admission_ ? commit_admission_() : Status::OK();
   }
 
-  /// Replication: encode each commit's write sets into its durable record
-  /// (kReplicatedCommit instead of kGroupCommit) so the shipped log replays
-  /// on a follower with no other data channel. Call before serving traffic.
-  void SetReplicationEnabled(bool enabled) { replicate_commits_ = enabled; }
-
   /// Promotion: installs the (fresh) group-commit log after a follower
   /// becomes writable. Not thread-safe against in-flight commits — the
   /// caller guarantees none exist (an unpromoted follower admits no write
@@ -213,7 +208,6 @@ class TransactionManager {
   StoreResolver resolver_;
   GroupCommitLog* group_log_;
   bool durable_group_log_;
-  bool replicate_commits_ = false;
   CommitAdmission commit_admission_;
   CommitFailureObserver commit_failure_observer_;
   TxnCounters counters_;

@@ -343,19 +343,25 @@ int MvccObject::PurgeUncommitted(
 
 // --------------------------------------------------------- serialization ---
 
-void MvccObject::EncodeTo(std::string* out) const {
+void MvccObject::EncodeTo(std::string* out, Timestamp ceiling) const {
   const VersionArray& array = *array_.load(std::memory_order_acquire);
   PutVarint32(out, static_cast<std::uint32_t>(array.capacity));
+  const auto included = [&](int i) {
+    return used_.IsSet(i) &&
+           array.slots[static_cast<std::size_t>(i)].cts.load(
+               std::memory_order_acquire) <= ceiling;
+  };
   std::uint32_t count = 0;
   for (int i = 0; i < array.capacity; ++i) {
-    if (used_.IsSet(i)) ++count;
+    if (included(i)) ++count;
   }
   PutVarint32(out, count);
   for (int i = 0; i < array.capacity; ++i) {
-    if (!used_.IsSet(i)) continue;
+    if (!included(i)) continue;
     const Slot& slot = array.slots[static_cast<std::size_t>(i)];
+    const Timestamp dts = slot.dts.load(std::memory_order_acquire);
     PutVarint64(out, slot.cts.load(std::memory_order_acquire));
-    PutVarint64(out, slot.dts.load(std::memory_order_acquire));
+    PutVarint64(out, dts <= ceiling ? dts : kInfinityTs);
     const std::string* buffer = slot.value.load(std::memory_order_acquire);
     PutLengthPrefixed(out, buffer != nullptr ? *buffer : std::string_view());
   }

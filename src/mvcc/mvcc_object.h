@@ -173,8 +173,11 @@ class MvccObject {
     return array_.load(std::memory_order_acquire)->capacity;
   }
 
-  /// Serialization (persisted inside the base table as the value blob).
-  void EncodeTo(std::string* out) const;
+  /// Serialization (the checkpoint image inside the base table). Only
+  /// versions with cts <= `ceiling` are written, and a dts above it is
+  /// written as open: the image shows the object as of the ceiling, and
+  /// log replay re-applies everything newer.
+  void EncodeTo(std::string* out, Timestamp ceiling = kInfinityTs) const;
   /// Decodes a persisted blob. The version array is sized from the BLOB
   /// (the capacity recorded at encode time), raised to `min_capacity` when
   /// the blob is smaller — never truncated to a configured default, so a

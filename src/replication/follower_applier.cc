@@ -7,7 +7,7 @@
 
 #include "common/coding.h"
 #include "common/crc32.h"
-#include "common/small_vec.h"
+#include "core/commit_record.h"
 #include "core/group_commit_log.h"
 
 namespace streamsi {
@@ -193,130 +193,48 @@ Status FollowerApplier::ApplyRecordLocked(WalRecordType type,
     case WalRecordType::kGroupCommit:
     case WalRecordType::kCheckpoint:
       // A commit record without its write sets cannot be replayed here —
-      // the primary was not in replication mode when it wrote this chain.
-      // Divergence, not progress: refuse.
+      // the primary's log predates data-carrying records. Divergence, not
+      // progress: refuse.
       return Status::Corruption(
           "shipped stream contains a data-less commit record "
-          "(primary log predates replication mode)");
+          "(primary log predates data-carrying records)");
     default:
       return Status::OK();  // future record kinds: skip
   }
 }
 
 Status FollowerApplier::ApplyReplicatedCommitLocked(std::string_view payload) {
-  const char* p = payload.data();
-  const char* limit = p + payload.size();
-  std::uint32_t group_count = 0;
-  p = GetVarint32(p, limit, &group_count);
-  if (p == nullptr || group_count > payload.size()) {
-    return Status::Corruption("bad replicated-commit group count");
-  }
-  SmallVec<GroupId, 64> groups;
-  for (std::uint32_t i = 0; i < group_count && p != nullptr; ++i) {
-    GroupId id = kInvalidGroupId;
-    p = GetVarint32(p, limit, &id);
-    if (p != nullptr) groups.push_back(id);
-  }
-  std::uint64_t cts = 0;
-  if (p != nullptr) p = GetVarint64(p, limit, &cts);
-  std::uint32_t state_count = 0;
-  if (p != nullptr) p = GetVarint32(p, limit, &state_count);
-  if (p == nullptr || state_count > payload.size()) {
-    return Status::Corruption("bad replicated-commit header");
-  }
+  CommitRecord record;
+  STREAMSI_RETURN_NOT_OK(DecodeCommitRecord(payload, &record));
   const std::size_t known_groups = context_->GroupCount();
-  for (GroupId group : groups) {
+  for (GroupId group : record.groups) {
     if (group >= known_groups) {
       // The declaring catalog chunk has not landed yet; retry next round.
       return Status::Busy("follower catalog behind: unknown group " +
                           std::to_string(group));
     }
   }
-  // Pass 1: bounds-check the whole record and resolve every store BEFORE
-  // installing anything, so the common transient (catalog behind) does not
-  // do per-entry work just to throw it away.
-  struct StateBlock {
-    VersionedStore* store;
-    const char* begin;
-    std::uint32_t entries;
-  };
-  SmallVec<StateBlock, 8> blocks;
-  const char* scan = p;
-  for (std::uint32_t s = 0; s < state_count; ++s) {
-    std::uint32_t state_id = 0;
-    std::uint32_t entry_count = 0;
-    scan = GetVarint32(scan, limit, &state_id);
-    if (scan != nullptr) scan = GetVarint32(scan, limit, &entry_count);
-    if (scan == nullptr || entry_count > payload.size()) {
-      return Status::Corruption("bad replicated-commit state block");
-    }
-    VersionedStore* store = hooks_.resolve ? hooks_.resolve(state_id) : nullptr;
-    if (store == nullptr) {
-      return Status::Busy("follower catalog behind: unknown state " +
-                          std::to_string(state_id));
-    }
-    const char* entries_begin = scan;
-    for (std::uint32_t e = 0; e < entry_count && scan != nullptr; ++e) {
-      std::uint32_t key_len = 0;
-      scan = GetVarint32(scan, limit, &key_len);
-      if (scan == nullptr || key_len > static_cast<std::size_t>(limit - scan)) {
-        scan = nullptr;
-        break;
-      }
-      scan += key_len;
-      if (scan >= limit) {
-        scan = nullptr;
-        break;
-      }
-      const bool is_delete = *scan != 0;
-      scan += 1;
-      if (!is_delete) {
-        std::uint32_t val_len = 0;
-        scan = GetVarint32(scan, limit, &val_len);
-        if (scan == nullptr ||
-            val_len > static_cast<std::size_t>(limit - scan)) {
-          scan = nullptr;
-          break;
+  // A transient failure mid-record leaves a partial, UNPUBLISHED apply; the
+  // retry re-installs only what is missing and only then publishes.
+  STREAMSI_RETURN_NOT_OK(ReplayCommitWriteSets(
+      record,
+      [&](StateId state, VersionedStore** store) {
+        *store = hooks_.resolve ? hooks_.resolve(state) : nullptr;
+        if (*store == nullptr) {
+          return Status::Busy("follower catalog behind: unknown state " +
+                              std::to_string(state));
         }
-        scan += val_len;
-      }
-    }
-    if (scan == nullptr) {
-      return Status::Corruption("bad replicated-commit entry");
-    }
-    blocks.push_back(StateBlock{store, entries_begin, entry_count});
-  }
-  // Pass 2: install. A transient failure mid-record leaves a partial,
-  // UNPUBLISHED apply; the retry re-installs the same versions at the same
-  // cts (idempotent) and only then publishes.
-  for (const StateBlock& block : blocks) {
-    const char* cur = block.begin;
-    const Timestamp oldest_active =
-        context_->OldestActiveVersionFor(block.store->id());
-    for (std::uint32_t e = 0; e < block.entries; ++e) {
-      std::uint32_t key_len = 0;
-      cur = GetVarint32(cur, limit, &key_len);
-      const std::string_view key(cur, key_len);
-      cur += key_len;
-      const bool is_delete = *cur != 0;
-      cur += 1;
-      std::string_view value;
-      if (!is_delete) {
-        std::uint32_t val_len = 0;
-        cur = GetVarint32(cur, limit, &val_len);
-        value = std::string_view(cur, val_len);
-        cur += val_len;
-      }
-      STREAMSI_RETURN_NOT_OK(block.store->ApplyCommitted(
-          key, value, is_delete, cts, oldest_active, /*sync_hint=*/false));
-    }
-  }
+        return Status::OK();
+      },
+      context_));
   // Same publication seqlock the primary's committers use: concurrent
   // follower readers see the multi-group advance atomically (§4.3).
-  context_->PublishCommit(groups.data(), groups.size(), cts);
-  context_->clock().AdvanceTo(cts);
+  context_->PublishCommit(record.groups.data(), record.groups.size(),
+                          record.cts);
+  context_->clock().AdvanceTo(record.cts);
   stats_.commits_applied += 1;
-  stats_.follower_watermark = std::max(stats_.follower_watermark, cts);
+  stats_.follower_watermark =
+      std::max(stats_.follower_watermark, record.cts);
   return Status::OK();
 }
 

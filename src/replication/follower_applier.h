@@ -3,9 +3,10 @@
 // A background loop replays the shipped group-commit chain continuously:
 // for each complete, CRC-valid frame past its cursor it decodes the record
 // and re-drives the primary's publication through the follower's OWN
-// machinery — kReplicatedCommit installs the carried write sets with the
-// stores' eager ApplyCommitted path, then publishes the multi-group
-// LastCTS advance through the same publication seqlock committers use, so
+// machinery — kReplicatedCommit installs the carried write sets through
+// ReplayCommitWriteSets (the replay recovery uses too), then publishes the
+// multi-group LastCTS advance through the same publication seqlock
+// committers use, so
 // concurrent snapshot readers on the follower keep the §4.3 guarantee:
 // they pin a per-group LastCTS cut and never observe half of a multi-store
 // commit. The cursor only ever advances over whole frames.
@@ -13,7 +14,8 @@
 // Refusal beats divergence. A hole in the stream — the cursor's segment
 // vanished while later ones exist, a successor number is skipped, a
 // checkpoint cut references commits newer than everything applied, or a
-// commit record without write sets (a non-replicating primary's log) — is
+// commit record without write sets (a log older than data-carrying
+// records) — is
 // Corruption: sticky, reported through Health(), applying stops for good.
 // A CRC-broken tail is simply *incomplete* (the shipper re-ships its
 // completion byte-identically), so the applier waits; it never skips bytes

@@ -29,7 +29,7 @@ namespace streamsi {
 
 /// A database's place in a replication pair.
 enum class ReplicationRole {
-  kNone,      ///< standalone (no shipping, plain kGroupCommit records)
+  kNone,      ///< standalone (no shipping)
   kPrimary,   ///< accepts writes, ships its log through a ShipTransport
   kFollower,  ///< replays the shipped log, serves snapshot reads; writable
               ///< only after Promote()

@@ -1,6 +1,6 @@
 // FaultyBackend: failure-injection wrapper around any TableBackend, used by
-// tests to prove that IO errors during the commit's write-through phase
-// never publish partial transactions (recovery requirement of §4).
+// tests to prove that IO errors while checkpoint images are written fail
+// only the checkpoint — never a commit, never a reader.
 //
 // Two ways to arm it, freely combined:
 //   * the legacy counters (FailNextWrites / set_fail_reads), and

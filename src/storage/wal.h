@@ -35,15 +35,17 @@ enum class WalRecordType : unsigned char {
   kDelete = 2,
   kCheckpoint = 3,     ///< legacy single-group LastCTS record (decode only)
   kGroupCommit = 4,    ///< one commit's LastCTS advance across all its groups
+                       ///< with no data (written before commit records
+                       ///< carried their write sets; decode only)
   kCheckpointCut = 5,  ///< full LastCTS snapshot: every group's value at one
                        ///< publication-seqlock-consistent cut (checkpoints)
   kStateDecl = 6,      ///< catalog: one state declaration
   kGroupDecl = 7,      ///< catalog: one topology-group declaration
-  kReplicatedCommit = 8,  ///< kGroupCommit payload + the commit's write sets
-                          ///< (log shipping: followers replay data from the
-                          ///< shipped stream alone). Replays everywhere a
-                          ///< kGroupCommit does — the payload is a strict
-                          ///< superset.
+  kReplicatedCommit = 8,  ///< kGroupCommit payload + the commit's write sets:
+                          ///< every commit's redo record (recovery and
+                          ///< followers replay data from the log alone).
+                          ///< Replays everywhere a kGroupCommit does — the
+                          ///< payload is a strict superset.
   kIndexDecl = 9,  ///< catalog: one secondary-index binding (index state
                    ///< derived from a base state)
 };

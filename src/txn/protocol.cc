@@ -24,22 +24,17 @@ Status ConcurrencyProtocol::ApplyWriteSet(Transaction& txn,
   if (ws == nullptr || ws->empty()) return Status::OK();
 
   // The dirty array keeps one (current) entry per key, in first-touch
-  // order. The final write of the batch carries the durability point (one
-  // synchronous write per state commit, mirroring one WAL sync per batch).
-  const auto& entries = ws->entries();
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const bool is_last = (i + 1 == entries.size());
+  // order.
+  for (const auto& entry : ws->entries()) {
     // SI's validate phase stashed the resolved store entry on each
     // write-set entry; installing through it skips the per-key probe.
     // Protocols that don't resolve handles (S2PL/BOCC) take the key path.
-    if (entries[i].commit_hint != nullptr) {
+    if (entry.commit_hint != nullptr) {
       STREAMSI_RETURN_NOT_OK(store.ApplyCommitted(
-          entries[i].commit_hint, entries[i].value, entries[i].is_delete,
-          commit_ts, floor, /*sync_hint=*/is_last));
+          entry.commit_hint, entry.value, entry.is_delete, commit_ts, floor));
     } else {
       STREAMSI_RETURN_NOT_OK(store.ApplyCommitted(
-          entries[i].key, entries[i].value, entries[i].is_delete, commit_ts,
-          floor, /*sync_hint=*/is_last));
+          entry.key, entry.value, entry.is_delete, commit_ts, floor));
     }
   }
   return Status::OK();

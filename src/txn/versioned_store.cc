@@ -534,7 +534,6 @@ Status VersionedStore::InstallWithBackpressure(Entry* entry,
         if (entry->object.capacity() > capacity_before) {
           stats_.slot_growths.fetch_add(1, std::memory_order_relaxed);
         }
-        ++entry->blob_version;
       }
     }
     if (!status.IsResourceExhausted()) return status;
@@ -563,16 +562,14 @@ Status VersionedStore::InstallWithBackpressure(Entry* entry,
 
 Status VersionedStore::ApplyCommitted(std::string_view key,
                                       std::string_view value, bool is_delete,
-                                      Timestamp commit_ts, GcFloor& floor,
-                                      bool sync_hint) {
+                                      Timestamp commit_ts, GcFloor& floor) {
   return ApplyCommitted(static_cast<EntryHandle>(GetOrCreateEntry(key)),
-                        value, is_delete, commit_ts, floor, sync_hint);
+                        value, is_delete, commit_ts, floor);
 }
 
 Status VersionedStore::ApplyCommitted(EntryHandle handle,
                                       std::string_view value, bool is_delete,
-                                      Timestamp commit_ts, GcFloor& floor,
-                                      bool sync_hint) {
+                                      Timestamp commit_ts, GcFloor& floor) {
   Entry* entry = static_cast<Entry*>(handle);
   if (is_delete) {
     ExclusiveGuard guard(entry->latch);
@@ -581,7 +578,6 @@ Status VersionedStore::ApplyCommitted(EntryHandle handle,
     // stream may carry deletes for already-expired window entries.
     if (!status.ok() && !status.IsNotFound()) return status;
     stats_.deletes.fetch_add(1, std::memory_order_relaxed);
-    ++entry->blob_version;
   } else {
     STREAMSI_RETURN_NOT_OK(
         InstallWithBackpressure(entry, value, commit_ts, floor));
@@ -594,34 +590,23 @@ Status VersionedStore::ApplyCommitted(EntryHandle handle,
          !entry->latest_modification.compare_exchange_weak(
              cur, commit_ts, std::memory_order_acq_rel)) {
   }
-  if (options_.write_through) {
-    return PersistEntry(entry->key, entry, sync_hint);
-  }
   return Status::OK();
 }
 
-Status VersionedStore::PersistEntry(std::string_view key, Entry* entry,
-                                    bool sync) {
-  // Snapshot the blob under the shared latch, then write back outside it so
-  // readers are never blocked behind an fsync. The persist_lock +
-  // blob_version pair keeps backend writes per key in order even when
-  // multiple transactions commit the same key back to back.
-  std::string blob;
-  std::uint64_t version;
-  {
-    SharedGuard guard(entry->latch);
-    entry->object.EncodeTo(&blob);
-    version = entry->blob_version;
+Status VersionedStore::ReplayCommitted(std::string_view key,
+                                       std::string_view value, bool is_delete,
+                                       Timestamp commit_ts,
+                                       Timestamp oldest_active) {
+  Entry* entry = GetOrCreateEntry(key);
+  // Replay of one key is single-threaded and in log order, which is the
+  // key's cts order (its commit lock is held until the record is durable).
+  if (entry->latest_modification.load(std::memory_order_acquire) >=
+      commit_ts) {
+    return Status::OK();
   }
-  std::lock_guard<SpinLock> persist_guard(entry->persist_lock);
-  if (entry->persisted_version.load(std::memory_order_acquire) >= version) {
-    return Status::OK();  // a newer snapshot was already persisted
-  }
-  STREAMSI_RETURN_NOT_OK(
-      backend_->Put(key, blob, sync && options_.sync_on_commit));
-  entry->persisted_version.store(version, std::memory_order_release);
-  stats_.persisted.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  GcFloor floor(oldest_active);
+  return ApplyCommitted(static_cast<EntryHandle>(entry), value, is_delete,
+                        commit_ts, floor);
 }
 
 // ------------------------------------------------------------ maintenance ---
@@ -640,6 +625,45 @@ std::uint64_t VersionedStore::GarbageCollectAll(Timestamp oldest_active) {
   }
   stats_.gc_reclaimed.fetch_add(reclaimed, std::memory_order_relaxed);
   return reclaimed;
+}
+
+Status VersionedStore::WriteCheckpointImages(Timestamp ceiling) {
+  std::vector<std::pair<Entry*, Timestamp>> dirty;
+  std::string blob;
+  for (Shard& shard : shards_) {
+    dirty.clear();
+    {
+      // Shared shard latch only while collecting: backend writes below may
+      // wait on LSM admission, and inserts into this shard must not.
+      SharedGuard shard_guard(shard.latch);
+      for (auto& entry : shard.entries) {
+        const Timestamp imaged =
+            entry->checkpointed_ts.load(std::memory_order_acquire);
+        if (entry->latest_modification.load(std::memory_order_acquire) !=
+            imaged) {
+          dirty.emplace_back(entry.get(), imaged);
+        }
+      }
+    }
+    for (auto& [entry, imaged] : dirty) {
+      // Read before encoding: a modification landing in between is above
+      // the ceiling (every commit at or below it had finished when the cut
+      // was taken), so the next checkpoint sees the key dirty again.
+      const Timestamp modified =
+          entry->latest_modification.load(std::memory_order_acquire);
+      blob.clear();
+      {
+        SharedGuard guard(entry->latch);
+        entry->object.EncodeTo(&blob, ceiling);
+      }
+      STREAMSI_RETURN_NOT_OK(backend_->Put(entry->key, blob, /*sync=*/false));
+      // CAS: a recovery purge that forced a re-image meanwhile wins.
+      Timestamp expected = imaged;
+      entry->checkpointed_ts.compare_exchange_strong(
+          expected, std::min(modified, ceiling), std::memory_order_acq_rel);
+    }
+  }
+  return Status::OK();
 }
 
 Status VersionedStore::LoadFromBackend() {
@@ -705,34 +729,15 @@ std::uint64_t VersionedStore::PurgeKeyVersionsAfter(std::string_view key,
     entry = FindEntry(key, HashKey(key));
   }
   if (entry == nullptr) return 0;
-  std::uint64_t purged = 0;
-  bool changed = false;
-  {
-    ExclusiveGuard guard(entry->latch);
-    // A rolled-back DELETE releases no slot (PurgeAfter just re-opens the
-    // predecessor's dts), so detect any change via the modification
-    // watermark, not the released-slot count alone.
-    const Timestamp before = entry->object.LatestModification();
-    purged = static_cast<std::uint64_t>(entry->object.PurgeAfter(max_cts));
-    changed = purged > 0 || entry->object.LatestModification() != before;
-    // Roll the FCW watermark back alongside the purged versions.
-    if (entry->latest_modification.load(std::memory_order_relaxed) >
-        max_cts) {
-      entry->latest_modification.store(entry->object.LatestModification(),
-                                       std::memory_order_release);
-    }
-    if (changed) ++entry->blob_version;
-  }
-  // Write the rollback through: ApplyCommitted already persisted the now-
-  // purged install (or dts termination), and recovery keeps any durable
-  // version/delete whose timestamp falls behind a later commit's recovered
-  // LastCTS — without this re-persist the aborted write would resurrect
-  // after a restart. (If we crash before the re-persist lands, recovery's
-  // LastCTS purge rolls the key back instead, since the failed commit never
-  // logged a group record.) Best effort: the commit is already failing, and
-  // the crash case is covered by recovery either way.
-  if (changed && options_.write_through) {
-    (void)PersistEntry(key, entry, /*sync=*/true);
+  // The failed commit's versions sit above every checkpoint ceiling (it was
+  // in flight at any cut taken meanwhile), so no backend image holds them.
+  ExclusiveGuard guard(entry->latch);
+  const std::uint64_t purged =
+      static_cast<std::uint64_t>(entry->object.PurgeAfter(max_cts));
+  // Roll the FCW watermark back alongside the purged versions.
+  if (entry->latest_modification.load(std::memory_order_relaxed) > max_cts) {
+    entry->latest_modification.store(entry->object.LatestModification(),
+                                     std::memory_order_release);
   }
   return purged;
 }
@@ -747,35 +752,24 @@ std::uint64_t VersionedStore::PurgeUncommittedVersions(
   for (Shard& shard : shards_) {
     SharedGuard shard_guard(shard.latch);
     for (auto& entry : shard.entries) {
-      bool changed = false;
-      {
-        ExclusiveGuard guard(entry->latch);
-        // Like PurgeKeyVersionsAfter: a rolled-back DELETE releases no
-        // slot, so detect any change via the modification watermark too.
-        const Timestamp before = entry->object.LatestModification();
-        const std::uint64_t entry_purged = static_cast<std::uint64_t>(
-            entry->object.PurgeUncommitted(covered_cts, is_committed));
-        purged += entry_purged;
-        changed = entry_purged > 0 ||
-                  entry->object.LatestModification() != before;
-        // Roll the FCW watermark back alongside the purged versions.
-        const Timestamp latest = entry->object.LatestModification();
-        if (entry->latest_modification.load(std::memory_order_relaxed) !=
-            latest) {
-          entry->latest_modification.store(latest,
-                                           std::memory_order_release);
-        }
-        if (changed) ++entry->blob_version;
+      ExclusiveGuard guard(entry->latch);
+      // A rolled-back DELETE releases no slot, so detect any change via the
+      // modification watermark too.
+      const Timestamp before = entry->object.LatestModification();
+      const std::uint64_t entry_purged = static_cast<std::uint64_t>(
+          entry->object.PurgeUncommitted(covered_cts, is_committed));
+      purged += entry_purged;
+      const Timestamp latest = entry->object.LatestModification();
+      if (entry_purged > 0 || latest != before) {
+        // The backend image still holds the purged version. Re-image it at
+        // the next checkpoint: once later cuts cover its timestamp, a
+        // recovery would otherwise keep it as committed data.
+        entry->checkpointed_ts.store(kInfinityTs, std::memory_order_release);
       }
-      // Write the rollback through (same reasoning as the abort path in
-      // PurgeKeyVersionsAfter): the torn version is still in the backend
-      // blob, and once later commits push the recovered LastCTS past its
-      // timestamp, the NEXT recovery would keep it — a never-committed
-      // write resurrecting as committed data. Until the re-persist lands,
-      // every recovery at this watermark re-purges it, so best effort is
-      // sound here too.
-      if (changed && options_.write_through) {
-        (void)PersistEntry(entry->key, entry.get(), /*sync=*/true);
+      // Roll the FCW watermark back alongside the purged versions.
+      if (entry->latest_modification.load(std::memory_order_relaxed) !=
+          latest) {
+        entry->latest_modification.store(latest, std::memory_order_release);
       }
     }
   }
@@ -784,16 +778,14 @@ std::uint64_t VersionedStore::PurgeUncommittedVersions(
 
 Status VersionedStore::BulkLoad(std::string_view key, std::string_view value) {
   Entry* entry = GetOrCreateEntry(key);
+  std::string blob;
   {
     ExclusiveGuard guard(entry->latch);
     STREAMSI_RETURN_NOT_OK(
         entry->object.Install(value, kInitialTs, kInitialTs));
-    ++entry->blob_version;
+    entry->object.EncodeTo(&blob);
   }
-  if (options_.write_through) {
-    return PersistEntry(key, entry, /*sync=*/false);
-  }
-  return Status::OK();
+  return backend_->Put(key, blob, /*sync=*/false);
 }
 
 #ifdef STREAMSI_READ_DEBUG
@@ -816,7 +808,7 @@ Timestamp VersionedStore::MaxCommittedCts() const {
     SharedGuard shard_guard(shard.latch);
     for (const auto& entry : shard.entries) {
       SharedGuard guard(entry->latch);
-      max_cts = std::max(max_cts, entry->object.LatestCts());
+      max_cts = std::max(max_cts, entry->object.LatestModification());
     }
   }
   return max_cts;

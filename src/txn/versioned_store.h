@@ -4,9 +4,11 @@
 // arrays.
 //
 // Readers operate entirely on the in-memory MVCC objects ("readers (mostly
-// only accessing memory)", §5.2); the base table is the durability story:
-// commits write the serialized MVCC object through to the backend, with the
-// backend's SyncMode deciding the fsync behaviour.
+// only accessing memory)", §5.2). Commits touch memory only: their redo
+// lives in the group-commit log. The backend holds checkpoint images —
+// each key's versions at or below a checkpoint cut, written by
+// WriteCheckpointImages — and recovery rebuilds from those images plus the
+// log records above the cut (ReplayCommitted).
 //
 // Read-path design (zero allocation, latch-minimal):
 //   * Each shard's key index is an open-addressed bucket table of atomic
@@ -58,11 +60,6 @@ struct StoreOptions {
   /// returning ResourceExhausted. Only refreshable (lazily computed) GC
   /// floors wait — a fixed watermark can never rise, so those fail fast.
   std::uint64_t version_wait_micros = 200'000;
-  /// Persist committed MVCC objects to the backend at commit time.
-  bool write_through = true;
-  /// Request durability (backend SyncMode applies) for the final write of
-  /// each per-state commit batch.
-  bool sync_on_commit = true;
 };
 
 /// Operation counters of one store (observability; all relaxed atomics).
@@ -74,7 +71,6 @@ struct StoreStats {
   std::atomic<std::uint64_t> deletes{0};
   std::atomic<std::uint64_t> scans{0};
   std::atomic<std::uint64_t> gc_reclaimed{0};
-  std::atomic<std::uint64_t> persisted{0};
   /// Version-array growth events (a key outgrew its slot array under a
   /// lagging reader pin).
   std::atomic<std::uint64_t> slot_growths{0};
@@ -195,29 +191,34 @@ class VersionedStore {
   /// epoch pin — the handle already is the entry).
   Timestamp LatestModification(EntryHandle handle) const;
 
-  /// Installs one committed write (value or tombstone) at `commit_ts` and
-  /// (optionally, per StoreOptions) persists the version array to the
-  /// backend. `sync_hint` requests durability for this write. The GC
-  /// watermark is lazy: `floor` is only resolved when the key's version
-  /// array is actually full (see MvccObject::Install).
+  /// Installs one committed write (value or tombstone) at `commit_ts` in
+  /// memory; the commit's log record is its durability. The GC watermark
+  /// is lazy: `floor` is only resolved when the key's version array is
+  /// actually full (see MvccObject::Install).
   Status ApplyCommitted(std::string_view key, std::string_view value,
-                        bool is_delete, Timestamp commit_ts, GcFloor& floor,
-                        bool sync_hint);
+                        bool is_delete, Timestamp commit_ts, GcFloor& floor);
 
   /// Handle-based install: same semantics, minus the bucket-table probe
   /// (the validate phase already resolved the entry).
   Status ApplyCommitted(EntryHandle handle, std::string_view value,
-                        bool is_delete, Timestamp commit_ts, GcFloor& floor,
-                        bool sync_hint);
+                        bool is_delete, Timestamp commit_ts, GcFloor& floor);
 
   /// Eager-watermark convenience (tests, benchmarks, maintenance).
   Status ApplyCommitted(std::string_view key, std::string_view value,
                         bool is_delete, Timestamp commit_ts,
-                        Timestamp oldest_active, bool sync_hint) {
+                        Timestamp oldest_active) {
     GcFloor floor(oldest_active);
-    return ApplyCommitted(key, value, is_delete, commit_ts, floor,
-                          sync_hint);
+    return ApplyCommitted(key, value, is_delete, commit_ts, floor);
   }
+
+  /// Log replay (recovery, follower apply): installs like ApplyCommitted,
+  /// unless the key already holds a modification at or after `commit_ts` —
+  /// a checkpoint image or an earlier replay of the same record put it
+  /// there. Replay is therefore idempotent and never installs an older cts
+  /// on top of a newer one.
+  Status ReplayCommitted(std::string_view key, std::string_view value,
+                         bool is_delete, Timestamp commit_ts,
+                         Timestamp oldest_active);
 
   /// Generation-tagged cache for the lazily computed per-store GC floor
   /// (see TransactionManager::GlobalCommit): a watermark computed through
@@ -243,6 +244,13 @@ class VersionedStore {
   std::uint64_t GarbageCollectAll(Timestamp oldest_active);
 
   // ----------------------------------------------------------- recovery ---
+
+  /// Checkpoint step: writes the image of every key modified since its
+  /// last image into the backend — only versions at or below `ceiling`,
+  /// the checkpoint cut (see MvccObject::EncodeTo). Writes are unsynced:
+  /// the checkpoint's backend Flush() makes them durable, before the cut
+  /// record that relies on them. The commit path never writes the backend.
+  Status WriteCheckpointImages(Timestamp ceiling);
 
   /// Loads all MVCC objects from the backend (restart).
   Status LoadFromBackend();
@@ -273,8 +281,8 @@ class VersionedStore {
                                       Timestamp max_cts);
 
   /// Non-transactional bulk load used for benchmark preloading: installs a
-  /// version visible to every transaction (cts = kInitialTs) without
-  /// syncing each key.
+  /// version visible to every transaction (cts = kInitialTs) and writes its
+  /// image to the backend directly (unsynced) — no log record covers it.
   Status BulkLoad(std::string_view key, std::string_view value);
 
   // -------------------------------------------------------- diagnostics ---
@@ -284,7 +292,8 @@ class VersionedStore {
   /// Diagnostic-only: latched dump of a key's version array.
   std::string DebugDump(std::string_view key) const;
 #endif
-  /// Largest observed CTS across all keys (recovery diagnostics).
+  /// Largest committed timestamp held across all keys — version creations
+  /// and deletions alike (recovery's clock fast-forward).
   Timestamp MaxCommittedCts() const;
   const StoreStats& stats() const { return stats_; }
 
@@ -300,7 +309,8 @@ class VersionedStore {
         : key(std::move(key_arg)),
           hash(hash_arg),
           object(std::move(recovered)),
-          latest_modification(object.LatestModification()) {}
+          latest_modification(object.LatestModification()),
+          checkpointed_ts(latest_modification.load()) {}
 
     /// Key bytes live inside the entry: the bucket table stores only Entry
     /// pointers and lookups compare against this string in place.
@@ -315,10 +325,11 @@ class VersionedStore {
     std::atomic<Timestamp> latest_modification{kInitialTs};
     /// First-committer-wins commit ownership (0 = free).
     std::atomic<TxnId> commit_owner{0};
-    /// Monotonic snapshot counter for ordered backend write-back.
-    std::uint64_t blob_version = 0;  // under latch
-    std::atomic<std::uint64_t> persisted_version{0};
-    SpinLock persist_lock;
+    /// Checkpoint dirty mark: the latest modification the backend image
+    /// reflects (capped at that image's ceiling). The key needs a new image
+    /// iff latest_modification differs; kInfinityTs forces one (a recovery
+    /// purge changed versions the image still holds).
+    std::atomic<Timestamp> checkpointed_ts{kInitialTs};
   };
 
   /// Open-addressed (linear probing) table of atomic Entry pointers.
@@ -464,7 +475,6 @@ class VersionedStore {
   /// Caller must hold the shard latch (any mode that freezes the table).
   static std::size_t FindBucketOf(const BucketTable* table,
                                   const Entry* entry);
-  Status PersistEntry(std::string_view key, Entry* entry, bool sync);
   /// Install with adaptive growth (up to options_.mvcc_slots_max) and
   /// bounded writer backpressure: on ResourceExhausted with a refreshable
   /// floor, waits — entry latch RELEASED, outside any seqlock section — for

@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/fault_env.h"
 #include "core/streamsi.h"
 #include "storage/lsm_backend.h"
 #include "tests/test_util.h"
@@ -132,14 +135,20 @@ TEST_F(CheckpointTest, PartialCatalogUpgradeRecoversLateDeclaredStates) {
   {
     auto db = CreateDb(&a, &b, &g, Options());
     CommitPair(*db, a, b, "k", "good");
-    // Torn commit on b only: versions persisted, no group record.
+    // Torn commit on b only: versions persisted, no group record (blobs
+    // written through at apply time, as directories from before commits
+    // carried their write sets hold them).
     VersionedStore* store_b = db->GetState(b);
     torn_cts = db->context().clock().Next();
     ASSERT_TRUE(store_b
                     ->ApplyCommitted(EncodeToString(std::string("k")),
                                      "torn", false, torn_cts,
-                                     /*oldest_active=*/0, /*sync=*/true)
+                                     /*oldest_active=*/0)
                     .ok());
+    ASSERT_TRUE(store_b->WriteCheckpointImages(kInfinityTs).ok());
+    // A second key whose only copy is the log: the late Recover() must
+    // replay it into the re-declared state.
+    CommitPair(*db, a, b, "log_only", "logged");
   }
   // Rebuild the catalog with only state "a" + its singleton group.
   const std::string catalog_path = Options().base_dir + "/catalog.log";
@@ -164,6 +173,8 @@ TEST_F(CheckpointTest, PartialCatalogUpgradeRecoversLateDeclaredStates) {
   EXPECT_EQ(ReadOne(*db, b, "k"), "good")
       << "torn commit must be purged, committed data kept";
   EXPECT_EQ(ReadOne(*db, a, "k"), "good");
+  EXPECT_EQ(ReadOne(*db, b, "log_only"), "logged");
+  EXPECT_EQ(ReadOne(*db, a, "log_only"), "logged");
   // The clock moved past everything recovered.
   EXPECT_GE(db->context().clock().Now(), torn_cts);
 }
@@ -239,8 +250,11 @@ TEST_F(CheckpointTest, BackgroundCheckpointerRunsAndBoundsTheLog) {
 }
 
 TEST_F(CheckpointTest, CommitPathNeverFlushesInline) {
-  // Tiny memtable so the commit workload seals constantly: every flush and
-  // compaction must land on the LSM background worker, never a committer.
+  // Commits write only the group-commit log: N commits leave every backend
+  // untouched — no Put, hence nothing to seal, flush or compact. The
+  // checkpoint then writes the images; with a tiny memtable they seal
+  // constantly, and every flush and compaction must land on the LSM
+  // background worker, never a foreground thread.
   StateId a, b;
   GroupId g;
   auto options = Options();
@@ -250,6 +264,11 @@ TEST_F(CheckpointTest, CommitPathNeverFlushesInline) {
   const std::string value(256, 'x');
   for (int i = 0; i < 200; ++i) {
     CommitPair(*db, a, b, "k" + std::to_string(i % 32), value);
+  }
+  for (StateId state : {a, b}) {
+    auto* lsm = static_cast<LsmBackend*>(db->GetState(state)->backend());
+    EXPECT_EQ(lsm->ApproximateCount(), 0u) << "a commit wrote the backend";
+    EXPECT_EQ(lsm->FlushCount(), 0u);
   }
   ASSERT_TRUE(db->Checkpoint().ok());
   for (StateId state : {a, b}) {
@@ -263,6 +282,197 @@ TEST_F(CheckpointTest, CommitPathNeverFlushesInline) {
         << "a compaction ran inline on a foreground thread";
   }
   EXPECT_EQ(ReadOne(*db, a, "k0"), value);
+}
+
+/// Env wrapper that can hold a commit inside its durable record: once
+/// armed, the next Sync of a group-commit log file signals, blocks until
+/// Release(), then fails without syncing — the record's bytes stay
+/// unsynced, so a power cut drops them.
+class HoldingEnv final : public Env {
+ public:
+  explicit HoldingEnv(Env* inner) : inner_(inner) {}
+
+  void ArmHold() {
+    std::lock_guard<std::mutex> guard(mutex_);
+    armed_ = true;
+  }
+  void WaitHeld() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return held_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> guard(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path, bool truncate) override {
+    auto file = inner_->NewWritableFile(path, truncate);
+    if (!file.ok() || path.find("group_commits.log") == std::string::npos) {
+      return file;
+    }
+    return std::unique_ptr<WritableFile>(
+        new HeldFile(this, std::move(file).value()));
+  }
+  Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
+      const std::string& path) override {
+    return inner_->NewRandomAccessFile(path);
+  }
+  Status CreateDirIfMissing(const std::string& path) override {
+    return inner_->CreateDirIfMissing(path);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return inner_->RemoveFile(path);
+  }
+  Status RemoveDirRecursive(const std::string& path) override {
+    return inner_->RemoveDirRecursive(path);
+  }
+  bool FileExists(const std::string& path) override {
+    return inner_->FileExists(path);
+  }
+  Status FileSize(const std::string& path, std::uint64_t* size) override {
+    return inner_->FileSize(path, size);
+  }
+  Status ListDir(const std::string& path,
+                 std::vector<std::string>* names) override {
+    return inner_->ListDir(path, names);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return inner_->RenameFile(from, to);
+  }
+  Status SyncDir(const std::string& dir) override {
+    return inner_->SyncDir(dir);
+  }
+
+ private:
+  class HeldFile final : public WritableFile {
+   public:
+    HeldFile(HoldingEnv* env, std::unique_ptr<WritableFile> inner)
+        : env_(env), inner_(std::move(inner)) {}
+    Status Append(std::string_view data) override {
+      return inner_->Append(data);
+    }
+    Status Flush() override { return inner_->Flush(); }
+    Status Sync() override {
+      {
+        std::unique_lock<std::mutex> lock(env_->mutex_);
+        if (env_->armed_) {
+          env_->armed_ = false;
+          env_->held_ = true;
+          env_->cv_.notify_all();
+          env_->cv_.wait(lock, [&] { return env_->released_; });
+          return Status::IoError("injected failed sync");
+        }
+      }
+      return inner_->Sync();
+    }
+    Status Close() override { return inner_->Close(); }
+    std::uint64_t size() const override { return inner_->size(); }
+
+   private:
+    HoldingEnv* env_;
+    std::unique_ptr<WritableFile> inner_;
+  };
+
+  Env* inner_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool held_ = false;
+  bool released_ = false;
+};
+
+TEST(CheckpointImageTest, ImageExcludesACommitHeldInItsDurableRecord) {
+  // A commit is installed in memory and registered in flight, then held
+  // inside the sync of its durable record while a checkpoint takes its cut
+  // and writes images: the cut is clamped below the commit and the image
+  // must exclude its version. The record then fails (never synced), and
+  // after a power cut and a reopen the commit is gone for good.
+  //
+  // Database::Checkpoint would first drain the held commit, so the pieces
+  // a Database assembles are wired by hand here and the checkpoint's cut
+  // and image steps run while the commit sits in its sync.
+  FaultEnv fault_env(/*seed=*/11);
+  HoldingEnv env(&fault_env);
+  const std::string dir = "/db";
+  ASSERT_TRUE(env.CreateDirIfMissing(dir).ok());
+  Timestamp good_cts = 0;
+  {
+    StateContext context;
+    const StateId id = context.RegisterState("s");
+    const GroupId group = context.RegisterGroup({id});
+    BackendOptions backend_options;
+    backend_options.sync_mode = SyncMode::kFsync;
+    backend_options.env = &env;
+    backend_options.path = dir + "/state_s";
+    auto backend = OpenBackend(BackendType::kLsm, backend_options);
+    ASSERT_TRUE(backend.ok());
+    VersionedStore store(id, "s", std::move(backend).value(), StoreOptions());
+    GroupCommitLog log(SyncMode::kFsync, 0, &env);
+    ASSERT_TRUE(log.Open(dir + "/group_commits.log").ok());
+    auto protocol = MakeProtocol(ProtocolType::kMvcc, &context);
+    TransactionManager manager(
+        &context, protocol.get(),
+        [&](StateId state) { return state == id ? &store : nullptr; }, &log,
+        /*durable_group_log=*/true);
+    {
+      auto t = manager.Begin();
+      ASSERT_TRUE(manager.Write((*t)->txn(), id, "k", "good").ok());
+      ASSERT_TRUE(manager.Commit((*t)->txn()).ok());
+    }
+    good_cts = context.LastCts(group);
+
+    env.ArmHold();
+    Status doomed;
+    std::thread committer([&] {
+      auto t = manager.Begin();
+      ASSERT_TRUE(manager.Write((*t)->txn(), id, "k", "doomed").ok());
+      doomed = manager.Commit((*t)->txn());
+    });
+    env.WaitHeld();
+    std::vector<std::pair<GroupId, Timestamp>> cut;
+    context.SnapshotCheckpointCut(&cut);
+    ASSERT_EQ(cut.size(), 1u);
+    const Timestamp ceiling = cut[0].second;
+    EXPECT_GT(store.LatestModification("k"), ceiling)
+        << "the held commit is installed above the cut";
+    ASSERT_TRUE(store.WriteCheckpointImages(ceiling).ok());
+    ASSERT_TRUE(store.backend()->Flush().ok());
+    std::string blob;
+    ASSERT_TRUE(store.backend()->Get("k", &blob).ok());
+    const auto image = MvccObject::Decode(blob, 8);
+    ASSERT_TRUE(image.ok());
+    EXPECT_EQ(image->LatestModification(), good_cts)
+        << "the image holds a commit that was still in flight";
+    EXPECT_TRUE(image->HasLiveVersion());
+
+    env.Release();
+    committer.join();
+    EXPECT_TRUE(doomed.IsIoError()) << doomed.ToString();
+    (void)log.Close();
+  }
+  fault_env.CrashAndRecoverFs(FaultEnv::CrashMode::kDropUnsynced);
+
+  // Reopen through the ordinary recovery path (a directory without a
+  // catalog: the application re-declares its state).
+  DatabaseOptions options;
+  options.backend = BackendType::kLsm;
+  options.backend_options.sync_mode = SyncMode::kFsync;
+  options.env = &fault_env;
+  options.base_dir = dir;
+  auto db = Database::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto state = (*db)->CreateState("s");
+  ASSERT_TRUE(state.ok());
+  ASSERT_TRUE((*db)->Recover().ok());
+  auto t = (*db)->Begin();
+  std::string value;
+  ASSERT_TRUE(
+      (*db)->txn_manager().Read((*t)->txn(), (*state)->id(), "k", &value).ok());
+  EXPECT_EQ(value, "good");
+  EXPECT_EQ((*state)->LatestModification("k"), good_cts);
+  ASSERT_TRUE((*t)->Commit().ok());
 }
 
 TEST_F(CheckpointTest, ConcurrentCommittersNeverLoseAckedCommits) {

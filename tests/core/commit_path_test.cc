@@ -61,10 +61,8 @@ class AllocationCounter {
 /// Context + one in-memory MVCC store + manager (optionally with a durable
 /// group-commit log).
 struct Harness {
-  explicit Harness(GroupCommitLog* log = nullptr, bool durable = false,
-                   bool write_through = false) {
+  explicit Harness(GroupCommitLog* log = nullptr, bool durable = false) {
     StoreOptions store_options;
-    store_options.write_through = write_through;
     const StateId id = context.RegisterState("s");
     store = std::make_unique<VersionedStore>(
         id, "s", std::make_unique<HashTableBackend>(), store_options);
@@ -150,7 +148,6 @@ TEST(CommitPathAllocTest, AbortPathAllocatesNothingAtSteadyState) {
 
 TEST(CommitPathTest, GcFloorResolvedOnlyWhenVersionArrayIsFull) {
   StoreOptions options;
-  options.write_through = false;
   options.mvcc_slots = 4;
   VersionedStore store(0, "s", std::make_unique<HashTableBackend>(), options);
 
@@ -165,7 +162,7 @@ TEST(CommitPathTest, GcFloorResolvedOnlyWhenVersionArrayIsFull) {
   for (int i = 0; i < 4; ++i) {
     GcFloor floor(compute, &floor_computations);
     ASSERT_TRUE(
-        store.ApplyCommitted("k", "v", false, ++ts, floor, false).ok());
+        store.ApplyCommitted("k", "v", false, ++ts, floor).ok());
     EXPECT_EQ(floor_computations, 0) << "floor resolved with free slots";
     EXPECT_FALSE(floor.resolved());
   }
@@ -174,7 +171,7 @@ TEST(CommitPathTest, GcFloorResolvedOnlyWhenVersionArrayIsFull) {
   {
     GcFloor floor(compute, &floor_computations);
     ASSERT_TRUE(
-        store.ApplyCommitted("k", "v", false, ++ts, floor, false).ok());
+        store.ApplyCommitted("k", "v", false, ++ts, floor).ok());
     EXPECT_EQ(floor_computations, 1);
   }
 }
@@ -225,59 +222,72 @@ TEST(CommitPathTest, FailedDurableGroupRecordFailsTheCommit) {
   ASSERT_TRUE(log.Close().ok());
 }
 
-TEST(CommitPathTest, FailedCommitRollbackIsWrittenThroughToBackend) {
-  // ApplyCommitted persists each version BEFORE the durable group record is
-  // attempted; when that record fails, the rollback must reach the backend
-  // too — otherwise the aborted version resurrects from the base table on
-  // recovery once a later commit advances the group's LastCTS past it.
+TEST(CommitPathTest, FailedCommitNeverReachesTheCheckpointImage) {
+  // A commit whose durable record fails is rolled back in memory and never
+  // logged. Nothing of it may reach the backend: not at commit time (the
+  // commit path writes no backend), not in the next checkpoint's image, and
+  // not after a reopen — for a failed write and for a failed DELETE.
   testing::TempDir dir;
-  GroupCommitLog log(SyncMode::kNone, 0);
-  ASSERT_TRUE(log.Open(dir.path() + "/groups.log").ok());
-  Harness h(&log, /*durable=*/true, /*write_through=*/true);
-
+  DatabaseOptions options;
+  options.backend = BackendType::kLsm;
+  options.backend_options.sync_mode = SyncMode::kFsync;
+  options.base_dir = dir.path() + "/db";
+  StateId state = kInvalidStateId;
+  const auto read = [&](Database& db) {
+    auto t = db.Begin();
+    std::string value;
+    const Status status = db.txn_manager().Read((*t)->txn(), state, "k",
+                                                &value);
+    EXPECT_TRUE((*t)->Commit().ok());
+    return status.ok() ? value : std::string("<") + status.ToString() + ">";
+  };
+  Timestamp good_cts = 0;
   {
-    auto t = h.manager->Begin();
-    ASSERT_TRUE(h.manager->Write((*t)->txn(), 0, "k", "good").ok());
-    ASSERT_TRUE(h.manager->Commit((*t)->txn()).ok());
-  }
-  std::string blob;
-  ASSERT_TRUE(h.store->backend()->Get("k", &blob).ok());
-  auto persisted = MvccObject::Decode(blob, 8);
-  ASSERT_TRUE(persisted.ok());
-  const Timestamp good_cts = persisted->LatestCts();
+    auto db = Database::Open(options);
+    ASSERT_TRUE(db.ok());
+    state = (*(*db)->CreateState("s"))->id();
+    ASSERT_TRUE((*db)->Recover().ok());
+    {
+      auto t = (*db)->Begin();
+      ASSERT_TRUE((*db)->txn_manager().Write((*t)->txn(), state, "k", "good")
+                      .ok());
+      ASSERT_TRUE((*t)->Commit().ok());
+    }
+    good_cts = (*db)->GetState(state)->LatestModification("k");
 
-  log.InjectRecordFailures(1);
-  {
-    auto t = h.manager->Begin();
-    ASSERT_TRUE(h.manager->Write((*t)->txn(), 0, "k", "doomed").ok());
-    EXPECT_TRUE(h.manager->Commit((*t)->txn()).IsIoError());
-  }
-  // The base table must hold the rolled-back version array: latest cts is
-  // still the good commit's, not the aborted one's.
-  blob.clear();
-  ASSERT_TRUE(h.store->backend()->Get("k", &blob).ok());
-  const auto rolled_back = MvccObject::Decode(blob, 8);
-  ASSERT_TRUE(rolled_back.ok());
-  EXPECT_EQ(rolled_back->LatestCts(), good_cts)
-      << "aborted version leaked into the backend";
+    (*db)->group_log()->InjectRecordFailures(1);
+    {
+      auto t = (*db)->Begin();
+      ASSERT_TRUE(
+          (*db)->txn_manager().Write((*t)->txn(), state, "k", "doomed").ok());
+      EXPECT_TRUE((*t)->Commit().IsIoError());
+    }
+    (*db)->group_log()->InjectRecordFailures(1);
+    {
+      auto t = (*db)->Begin();
+      ASSERT_TRUE((*db)->txn_manager().Delete((*t)->txn(), state, "k").ok());
+      EXPECT_TRUE((*t)->Commit().IsIoError());
+    }
+    EXPECT_EQ((*db)->GetState(state)->backend()->ApproximateCount(), 0u)
+        << "the commit path wrote the backend";
+    const Status checkpoint = (*db)->Checkpoint();
+    ASSERT_TRUE(checkpoint.ok()) << checkpoint.ToString();
 
-  // Same for a failed DELETE: the dts termination ApplyCommitted persisted
-  // must be rolled back in the backend too (a rolled-back delete releases
-  // no version slot — the reopen itself has to trigger the re-persist).
-  log.InjectRecordFailures(1);
-  {
-    auto t = h.manager->Begin();
-    ASSERT_TRUE(h.manager->Delete((*t)->txn(), 0, "k").ok());
-    EXPECT_TRUE(h.manager->Commit((*t)->txn()).IsIoError());
+    // The image holds the good commit only: latest cts is still the good
+    // commit's and the version is live (the failed delete left no dts).
+    std::string blob;
+    ASSERT_TRUE((*db)->GetState(state)->backend()->Get("k", &blob).ok());
+    const auto image = MvccObject::Decode(blob, 8);
+    ASSERT_TRUE(image.ok());
+    EXPECT_EQ(image->LatestModification(), good_cts)
+        << "aborted write or delete leaked into the image";
+    EXPECT_TRUE(image->HasLiveVersion());
+    EXPECT_EQ(read(**db), "good");
   }
-  blob.clear();
-  ASSERT_TRUE(h.store->backend()->Get("k", &blob).ok());
-  const auto after_delete = MvccObject::Decode(blob, 8);
-  ASSERT_TRUE(after_delete.ok());
-  EXPECT_TRUE(after_delete->HasLiveVersion())
-      << "aborted delete leaked into the backend";
-  EXPECT_EQ(after_delete->LatestModification(), good_cts);
-  ASSERT_TRUE(log.Close().ok());
+  auto reopened = Database::Open(options);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(read(**reopened), "good");
+  EXPECT_EQ((*reopened)->GetState(state)->LatestModification("k"), good_cts);
 }
 
 TEST(CommitPathTest, FailedCommitPurgeIsScopedToOwnKeys) {
@@ -286,13 +296,12 @@ TEST(CommitPathTest, FailedCommitPurgeIsScopedToOwnKeys) {
   // published versions with a HIGHER commit timestamp on other keys of the
   // same store — a store-wide PurgeVersionsAfter would destroy them.
   StoreOptions options;
-  options.write_through = false;
   VersionedStore store(0, "s", std::make_unique<HashTableBackend>(),
                        options);
-  ASSERT_TRUE(store.ApplyCommitted("own", "pre", false, 5, 0, false).ok());
-  ASSERT_TRUE(store.ApplyCommitted("own", "mine", false, 7, 0, false).ok());
+  ASSERT_TRUE(store.ApplyCommitted("own", "pre", false, 5, 0).ok());
+  ASSERT_TRUE(store.ApplyCommitted("own", "mine", false, 7, 0).ok());
   // Concurrent committer's published write, timestamped AFTER ours.
-  ASSERT_TRUE(store.ApplyCommitted("other", "theirs", false, 10, 0, false)
+  ASSERT_TRUE(store.ApplyCommitted("other", "theirs", false, 10, 0)
                   .ok());
 
   // Undo "our" commit at cts=7.

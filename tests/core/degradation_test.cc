@@ -70,8 +70,8 @@ TEST_F(DegradationTest, EnospcDuringCommitDegradesToReadOnly) {
   ASSERT_TRUE(CommitOne(*db, a, "k", "v1").ok());
   EXPECT_EQ(db->health(), DatabaseHealth::kHealthy);
 
-  // The disk fills: the commit's write-through (or its durable group
-  // record) hits NoSpace and the health machine flips to read-only.
+  // The disk fills: the commit's durable record hits NoSpace and the
+  // health machine flips to read-only.
   env_.SetNoSpaceByteBudget(0);
   const Status failed = CommitOne(*db, a, "k", "v2");
   EXPECT_FALSE(failed.ok());
@@ -119,6 +119,9 @@ TEST_F(DegradationTest, TransientBackgroundFailureRetriesWithoutDegrading) {
   StateId a;
   auto db = CreateDb(&a);
   ASSERT_TRUE(CommitOne(*db, a, "k", "v").ok());
+  // Commits write only the log: put the key's checkpoint image into the
+  // memtable so the flush below has work.
+  ASSERT_TRUE(db->GetState(a)->WriteCheckpointImages(kInfinityTs).ok());
 
   // One transient sync failure during the background flush: the worker's
   // bounded-backoff retry (fresh SSTable file number, atomic manifest)
@@ -141,6 +144,9 @@ TEST_F(DegradationTest, PersistentBackgroundFailurePoisonsAndDegrades) {
   StateId a;
   auto db = CreateDb(&a);
   ASSERT_TRUE(CommitOne(*db, a, "k", "v").ok());
+  // Commits write only the log: put the key's checkpoint image into the
+  // memtable so the flush below has work.
+  ASSERT_TRUE(db->GetState(a)->WriteCheckpointImages(kInfinityTs).ok());
 
   // Every append fails from here: the flush worker exhausts its retries,
   // poisons the store, and the failure callback degrades the database.

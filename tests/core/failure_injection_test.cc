@@ -1,8 +1,8 @@
-// Failure injection: IO errors in the base table during the write-through
-// phase of a commit must never publish a partial transaction, the
-// in-memory state must stay consistent with what readers can see, and a
-// checkpoint failing at any of its fault points must leave the previous
-// log-segment chain authoritative while commits keep flowing.
+// Failure injection: IO errors in the base table hit checkpoint image
+// writes, never commits — a failed image write fails its checkpoint, leaves
+// readers untouched and keeps the unwritten keys dirty for the next one —
+// and a checkpoint failing at any of its fault points must leave the
+// previous log-segment chain authoritative while commits keep flowing.
 
 #include <gtest/gtest.h>
 
@@ -41,27 +41,34 @@ struct Harness {
   std::unique_ptr<TransactionManager> manager;
 };
 
-TEST(FailureInjectionTest, WriteFailureAbortsCommitCleanly) {
+/// Committed value of `key` as a store rebuilt from `backend`'s images
+/// would see it ("" = absent).
+std::string ImageValue(FaultyBackend* backend, const std::string& key) {
+  std::string blob;
+  if (!backend->Get(key, &blob).ok()) return "";
+  auto object = MvccObject::Decode(blob, 8);
+  EXPECT_TRUE(object.ok());
+  std::string value;
+  return object->GetVisible(kInfinityTs - 1, &value) ? value : "";
+}
+
+TEST(FailureInjectionTest, BackendWriteFailuresNeverReachTheCommitPath) {
   Harness h;
-  // A successful baseline commit.
+  // The commit path writes only memory and the log: an armed backend fault
+  // is never consumed by a commit.
+  h.backend->FailNextWrites(1);
   {
     auto t = h.manager->Begin();
     ASSERT_TRUE(h.manager->Write((*t)->txn(), 0, "k", "good").ok());
     ASSERT_TRUE(h.manager->Commit((*t)->txn()).ok());
   }
+  EXPECT_EQ(h.backend->injected_failures(), 0u);
 
-  // Now fail the backend write during commit.
-  h.backend->FailNextWrites(1);
-  {
-    auto t = h.manager->Begin();
-    ASSERT_TRUE(h.manager->Write((*t)->txn(), 0, "k", "doomed").ok());
-    const Status status = h.manager->Commit((*t)->txn());
-    EXPECT_TRUE(status.IsIoError()) << status.ToString();
-  }
+  // The checkpoint image write consumes it and fails; readers are
+  // untouched, and the key stays dirty so the retry writes its image.
+  const Timestamp cut = h.context.LastCts(h.group);
+  EXPECT_TRUE(h.store->WriteCheckpointImages(cut).IsIoError());
   EXPECT_EQ(h.backend->injected_failures(), 1u);
-
-  // Readers must still see the previous value — the failed commit's version
-  // was purged from memory, and LastCTS never advanced for it.
   {
     auto t = h.manager->Begin();
     std::string value;
@@ -69,9 +76,11 @@ TEST(FailureInjectionTest, WriteFailureAbortsCommitCleanly) {
     EXPECT_EQ(value, "good");
     ASSERT_TRUE(h.manager->Commit((*t)->txn()).ok());
   }
+  ASSERT_TRUE(h.store->WriteCheckpointImages(cut).ok());
+  EXPECT_EQ(ImageValue(h.backend, "k"), "good");
 }
 
-TEST(FailureInjectionTest, MultiKeyCommitWithMidBatchFailure) {
+TEST(FailureInjectionTest, ImageWriteFailureMidStoreLeavesTheRestDirty) {
   Harness h;
   {
     auto t = h.manager->Begin();
@@ -83,31 +92,15 @@ TEST(FailureInjectionTest, MultiKeyCommitWithMidBatchFailure) {
     }
     ASSERT_TRUE(h.manager->Commit((*t)->txn()).ok());
   }
-  // Fail the third write of the next commit batch.
-  h.backend->FailNextWrites(0);
-  {
-    auto t = h.manager->Begin();
-    for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(h.manager
-                      ->Write((*t)->txn(), 0, "k" + std::to_string(i),
-                              "new")
-                      .ok());
-    }
-    // Arm after writes, before commit: fails during ApplyWriteSet.
-    h.backend->FailNextWrites(1);
-    EXPECT_FALSE(h.manager->Commit((*t)->txn()).ok());
-  }
-  // No key may show the new value.
-  {
-    auto t = h.manager->Begin();
-    for (int i = 0; i < 4; ++i) {
-      std::string value;
-      ASSERT_TRUE(
-          h.manager->Read((*t)->txn(), 0, "k" + std::to_string(i), &value)
-              .ok());
-      EXPECT_EQ(value, "base") << "partial commit leaked at key " << i;
-    }
-    ASSERT_TRUE(h.manager->Commit((*t)->txn()).ok());
+  const Timestamp cut = h.context.LastCts(h.group);
+  // Fail the first image write: that key and every key after it keep
+  // their dirty marks, so the next checkpoint writes all of them.
+  h.backend->FailNextWrites(1);
+  EXPECT_FALSE(h.store->WriteCheckpointImages(cut).ok());
+  ASSERT_TRUE(h.store->WriteCheckpointImages(cut).ok());
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(ImageValue(h.backend, "k" + std::to_string(i)), "base")
+        << "key " << i << " lost its image";
   }
 }
 
@@ -119,17 +112,16 @@ TEST(FailureInjectionTest, SystemRecoversAfterFailuresClear) {
     auto t = h.manager->Begin();
     ASSERT_TRUE(h.manager->Write((*t)->txn(), 0, "k", "v" +
                                  std::to_string(attempt)).ok());
-    if (!h.manager->Commit((*t)->txn()).ok()) {
+    ASSERT_TRUE(h.manager->Commit((*t)->txn()).ok());
+    // A checkpoint after every commit: the first three fail on the image
+    // write, the rest succeed.
+    if (!h.store->WriteCheckpointImages(h.context.LastCts(h.group)).ok()) {
       ++failures;
-      continue;
     }
   }
-  // Two commits fail, not three: the first failed commit's rollback is
-  // written through to the backend (so an aborted version can never
-  // resurrect from the base table after recovery), and that best-effort
-  // rollback write consumes the second injected failure.
-  EXPECT_EQ(failures, 2);
+  EXPECT_EQ(failures, 3);
   EXPECT_EQ(h.backend->injected_failures(), 3u);
+  EXPECT_EQ(ImageValue(h.backend, "k"), "v9");
   auto t = h.manager->Begin();
   std::string value;
   ASSERT_TRUE(h.manager->Read((*t)->txn(), 0, "k", &value).ok());

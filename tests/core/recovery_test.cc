@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "core/streamsi.h"
@@ -139,7 +141,8 @@ TEST_F(RecoveryTest, GrownVersionArraySurvivesRestart) {
       commit_cts.push_back(db->context().LastCts(g));
     }
     ASSERT_TRUE((*reader)->Commit().ok());
-    // The persisted blob must already carry the grown array.
+    // The checkpoint image must carry the grown array.
+    ASSERT_TRUE(db->Checkpoint().ok());
     std::string blob;
     ASSERT_TRUE(db->GetState(a)->backend()->Get("hot", &blob).ok());
     auto object = MvccObject::Decode(blob, 8);
@@ -148,9 +151,9 @@ TEST_F(RecoveryTest, GrownVersionArraySurvivesRestart) {
     EXPECT_EQ(object->VersionCount(), kOverwrites);
   }
 
-  // Restart: CreateState reloads from the backend — Decode must size from
-  // the blob (not the configured mvcc_slots default of 8) or the grown
-  // object would fail recovery.
+  // Restart: recovery reloads the image from the backend — Decode must
+  // size from the blob (not the configured mvcc_slots default of 8) or the
+  // grown object would fail recovery.
   auto db = OpenDb(&a, &b, &g);
   VersionedStore* store = db->GetState(a);
   ASSERT_NE(store, nullptr);
@@ -187,15 +190,18 @@ TEST_F(RecoveryTest, UnfinishedGroupCommitIsPurged) {
     ASSERT_TRUE((*t)->Commit().ok());
     watermark_before = db->context().LastCts(g);
 
-    // Now the torn commit: write state a's blob directly through the store
-    // (as the apply phase would) without the group record.
+    // Now the torn commit: state a's version is installed and its blob
+    // written, but the group record never was.
     VersionedStore* store_a = db->GetState(a);
     const Timestamp torn_cts = db->context().clock().Next();
     ASSERT_TRUE(store_a
                     ->ApplyCommitted(EncodeToString(std::string("k")),
                                      "torn", false, torn_cts,
-                                     /*oldest_active=*/0, /*sync=*/true)
+                                     /*oldest_active=*/0)
                     .ok());
+    // In the backend, the way directories from before commits carried
+    // their write sets hold it: blobs written through at apply time.
+    ASSERT_TRUE(store_a->WriteCheckpointImages(kInfinityTs).ok());
   }
   auto db = OpenDb(&a, &b, &g);
   EXPECT_EQ(db->context().LastCts(g), watermark_before);
@@ -209,10 +215,11 @@ TEST_F(RecoveryTest, UnfinishedGroupCommitIsPurged) {
 }
 
 TEST_F(RecoveryTest, PurgedTornCommitNeverResurrectsInLaterLives) {
-  // The recovery purge must be written through to the backend: a torn
-  // version dropped only in memory stays in the persisted blob, and once
-  // later commits push LastCTS past its timestamp, the NEXT recovery
-  // would keep it — a never-committed write resurrecting as committed.
+  // The recovery purge must reach the backend: a torn version dropped only
+  // in memory stays in the persisted blob, and once a checkpoint cut
+  // covers its timestamp, the NEXT recovery would keep it — a
+  // never-committed write resurrecting as committed. The purge marks the
+  // key for a new image at that checkpoint.
   StateId a, b;
   GroupId g;
   {
@@ -227,8 +234,11 @@ TEST_F(RecoveryTest, PurgedTornCommitNeverResurrectsInLaterLives) {
     ASSERT_TRUE(store_a
                     ->ApplyCommitted(EncodeToString(std::string("k")),
                                      "torn", false, torn_cts,
-                                     /*oldest_active=*/0, /*sync=*/true)
+                                     /*oldest_active=*/0)
                     .ok());
+    // In the backend, the way directories from before commits carried
+    // their write sets hold it: blobs written through at apply time.
+    ASSERT_TRUE(store_a->WriteCheckpointImages(kInfinityTs).ok());
   }
   {
     // Life 2: recovery purges the torn version; commits to OTHER keys push
@@ -247,9 +257,10 @@ TEST_F(RecoveryTest, PurgedTornCommitNeverResurrectsInLaterLives) {
     ASSERT_TRUE(db->txn_manager().Read((*t)->txn(), a, "k", &value).ok());
     EXPECT_EQ(value, "good");
     ASSERT_TRUE((*t)->Commit().ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
   }
-  // Life 3: the torn version's timestamp is now below LastCTS — it must
-  // STILL be gone (write-through of the life-2 purge).
+  // Life 3: the torn version's timestamp is now below the checkpoint cut —
+  // it must STILL be gone (the life-2 purge re-imaged the key).
   auto db = OpenDb(&a, &b, &g);
   auto t = db->Begin();
   std::string value;
@@ -286,10 +297,10 @@ TEST_F(RecoveryTest, ManyTransactionsSurvive) {
   ASSERT_TRUE((*t)->Commit().ok());
 }
 
-TEST_F(RecoveryTest, CrashBetweenFlushAndRotateKeepsOldChainAuthoritative) {
-  // Fault point 1: the checkpoint dies after flushing the backends, before
-  // the log rotates. Nothing was cut, nothing was deleted — recovery
-  // replays the old chain and every acked commit survives.
+TEST_F(RecoveryTest, CrashBeforeRotateKeepsOldChainAuthoritative) {
+  // Fault point 1: the checkpoint dies before its first step, the log
+  // rotation. Nothing was cut, nothing was deleted — recovery replays the
+  // old chain and every acked commit survives.
   StateId a, b;
   GroupId g;
   {
@@ -340,6 +351,157 @@ TEST_F(RecoveryTest, CrashBeforeCheckpointRecordKeepsOldChainAuthoritative) {
   ASSERT_TRUE(db->txn_manager().Read((*t)->txn(), b, "post", &value).ok());
   EXPECT_EQ(value, "2");
   ASSERT_TRUE((*t)->Commit().ok());
+}
+
+TEST_F(RecoveryTest, ImagesAheadOfTheDurableCutReplayWithoutDuplicates) {
+  // The window between the backends' Flush() and the cut record: the new
+  // images are durable, the cut that covers them is not. Recovery starts
+  // from the previous cut and replays records whose versions the images
+  // already hold — each version must come back exactly once, none lost.
+  StateId a, b;
+  GroupId g;
+  std::vector<Timestamp> cts;
+  const auto commit = [&](Database& db, const std::string& key,
+                          const std::string& value) {
+    auto t = db.Begin();
+    ASSERT_TRUE(db.txn_manager().Write((*t)->txn(), a, key, value).ok());
+    ASSERT_TRUE(db.txn_manager().Write((*t)->txn(), b, key, value).ok());
+    ASSERT_TRUE((*t)->Commit().ok());
+    cts.push_back(db.context().LastCts(g));
+  };
+  {
+    auto db = OpenDb(&a, &b, &g);
+    commit(*db, "k", "v1");
+    commit(*db, "k", "v2");
+    commit(*db, "other", "x");
+    db->group_log()->InjectCheckpointFault(
+        GroupCommitLog::CheckpointFault::kBeforeCheckpointRecord);
+    EXPECT_FALSE(db->Checkpoint().ok());
+    // The images holding v1, v2 and x are flushed; the cut is not durable.
+    std::string blob;
+    ASSERT_TRUE(db->GetState(a)->backend()->Get("k", &blob).ok());
+    commit(*db, "k", "v3");
+  }
+  auto db = OpenDb(&a, &b, &g);
+  for (StateId state : {a, b}) {
+    VersionedStore* store = db->GetState(state);
+    std::string value;
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(store->ReadCommitted(cts[static_cast<std::size_t>(i)], "k",
+                                       &value)
+                      .ok());
+      EXPECT_EQ(value, "v" + std::to_string(i + 1));
+    }
+    ASSERT_TRUE(store->ReadCommitted(cts[3], "k", &value).ok());
+    EXPECT_EQ(value, "v3");
+    ASSERT_TRUE(store->ReadCommitted(cts[3], "other", &value).ok());
+    EXPECT_EQ(value, "x");
+  }
+  // The next image shows each version once: one slot per commit timestamp.
+  ASSERT_TRUE(db->Checkpoint().ok());
+  std::string blob;
+  ASSERT_TRUE(db->GetState(a)->backend()->Get("k", &blob).ok());
+  const auto image = MvccObject::Decode(blob, 8);
+  ASSERT_TRUE(image.ok());
+  std::vector<Timestamp> seen;
+  for (const VersionHeader& header : image->Headers()) seen.push_back(header.cts);
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<Timestamp>{cts[0], cts[1], cts[3]}));
+}
+
+TEST_F(RecoveryTest, MixedEraDirectoryReopensWithTheSameContents) {
+  // A directory written the way commits worked before they carried their
+  // write sets: each commit put its keys' whole version arrays into the
+  // backend and logged a data-less kGroupCommit record. It must reopen with
+  // the same contents — a torn version in a blob purged as before — and
+  // keep them across new data-carrying commits, a restart and a checkpoint.
+  StateId a, b;
+  GroupId g;
+  std::vector<GroupId> groups_a;
+  std::vector<GroupId> groups_ab;
+  {
+    auto db = OpenDb(&a, &b, &g);  // declares the catalog, commits nothing
+    groups_a = db->context().GroupsOf(a);
+    groups_ab = groups_a;
+    for (GroupId group : db->context().GroupsOf(b)) {
+      if (std::find(groups_ab.begin(), groups_ab.end(), group) ==
+          groups_ab.end()) {
+        groups_ab.push_back(group);
+      }
+    }
+  }
+  {
+    const auto blob = [](std::initializer_list<
+                             std::tuple<Timestamp, Timestamp, const char*>>
+                             versions) {
+      MvccObject object(8);
+      for (const auto& [cts, dts, value] : versions) {
+        EXPECT_TRUE(object.Install(value, cts, kInitialTs).ok());
+        if (dts != kInfinityTs) EXPECT_TRUE(object.MarkDeleted(dts).ok());
+      }
+      std::string out;
+      object.EncodeTo(&out);
+      return out;
+    };
+    BackendOptions backend_options = Options().backend_options;
+    backend_options.path = Options().base_dir + "/state_a";
+    auto backend_a = OpenBackend(BackendType::kLsm, backend_options);
+    backend_options.path = Options().base_dir + "/state_b";
+    auto backend_b = OpenBackend(BackendType::kLsm, backend_options);
+    ASSERT_TRUE(backend_a.ok() && backend_b.ok());
+    // cts 10 wrote k on a and b; cts 20 wrote k2 on a; cts 30 overwrote k
+    // on a but died before its record (torn).
+    ASSERT_TRUE((*backend_a)
+                    ->Put("k",
+                          blob({{10, kInfinityTs, "old"}, {30, kInfinityTs,
+                                                           "torn"}}),
+                          true)
+                    .ok());
+    ASSERT_TRUE((*backend_b)->Put("k", blob({{10, kInfinityTs, "old"}}), true)
+                    .ok());
+    ASSERT_TRUE(
+        (*backend_a)->Put("k2", blob({{20, kInfinityTs, "old2"}}), true).ok());
+    GroupCommitLog log(SyncMode::kFsync, 0);
+    ASSERT_TRUE(log.Open(Options().base_dir + "/group_commits.log").ok());
+    ASSERT_TRUE(
+        log.RecordCommit(groups_ab.data(), groups_ab.size(), 10, true).ok());
+    ASSERT_TRUE(
+        log.RecordCommit(groups_a.data(), groups_a.size(), 20, true).ok());
+    ASSERT_TRUE(log.Close().ok());
+  }
+  const auto expect_contents = [&](Database& db, bool with_new) {
+    auto t = db.Begin();
+    std::string value;
+    ASSERT_TRUE(db.txn_manager().Read((*t)->txn(), a, "k", &value).ok());
+    EXPECT_EQ(value, "old") << "torn version must be purged";
+    ASSERT_TRUE(db.txn_manager().Read((*t)->txn(), b, "k", &value).ok());
+    EXPECT_EQ(value, "old");
+    ASSERT_TRUE(db.txn_manager().Read((*t)->txn(), a, "k2", &value).ok());
+    EXPECT_EQ(value, "old2");
+    if (with_new) {
+      ASSERT_TRUE(db.txn_manager().Read((*t)->txn(), a, "k3", &value).ok());
+      EXPECT_EQ(value, "new");
+      ASSERT_TRUE(db.txn_manager().Read((*t)->txn(), b, "k", &value).ok());
+    }
+    ASSERT_TRUE((*t)->Commit().ok());
+  };
+  {
+    auto db = OpenDb(&a, &b, &g);
+    expect_contents(*db, false);
+    // New commits land above everything the old blobs hold, torn included.
+    EXPECT_GT(db->context().clock().Now(), 30u);
+    auto t = db->Begin();
+    ASSERT_TRUE(db->txn_manager().Write((*t)->txn(), a, "k3", "new").ok());
+    ASSERT_TRUE((*t)->Commit().ok());
+    expect_contents(*db, true);
+  }
+  {
+    auto db = OpenDb(&a, &b, &g);  // old blobs + a data-carrying log tail
+    expect_contents(*db, true);
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  auto db = OpenDb(&a, &b, &g);  // images only
+  expect_contents(*db, true);
 }
 
 TEST_F(RecoveryTest, CrashBeforePruneLosesNothingAndRetriesLater) {

@@ -131,7 +131,6 @@ TEST(ReadPathModelTest, RandomizedOpsAgreeWithModel) {
 
   StoreOptions options;
   options.mvcc_slots = 6;
-  options.write_through = false;
   VersionedStore store(0, "model", std::make_unique<HashTableBackend>(),
                        options);
   ReadPathModel model;
@@ -156,7 +155,7 @@ TEST(ReadPathModelTest, RandomizedOpsAgreeWithModel) {
       // The store's on-demand GC inside Install uses the same watermark the
       // model prunes with, so both sides reclaim identically.
       const Status status =
-          store.ApplyCommitted(key, value, false, ts, watermark, false);
+          store.ApplyCommitted(key, value, false, ts, watermark);
       if (status.IsResourceExhausted()) {
         // Version array full of still-visible versions: the model cannot
         // reclaim them either — skip, nothing changed on either side.
@@ -168,7 +167,7 @@ TEST(ReadPathModelTest, RandomizedOpsAgreeWithModel) {
     } else if (dice < 75) {
       const Timestamp ts = ++clock;
       ASSERT_TRUE(
-          store.ApplyCommitted(key, "", true, ts, watermark, false).ok());
+          store.ApplyCommitted(key, "", true, ts, watermark).ok());
       model.Delete(key, ts);
     } else if (dice < 85) {
       const Timestamp oldest = watermark + rng.Uniform(clock - watermark + 1);
@@ -239,15 +238,15 @@ TEST(ReadPathModelTest, OptimisticAndLatchedReadsAgreeAfterReload) {
   // Decode/recovery produces MvccObjects through a different construction
   // path; the optimistic read protocol must behave identically on them.
   StoreOptions options;
-  options.write_through = true;
   auto backend = std::make_unique<HashTableBackend>();
   HashTableBackend* backend_raw = backend.get();
   auto store = std::make_unique<VersionedStore>(0, "s", std::move(backend),
                                                 options);
-  ASSERT_TRUE(store->ApplyCommitted("a", "1", false, 10, 0, true).ok());
-  ASSERT_TRUE(store->ApplyCommitted("a", "2", false, 20, 0, true).ok());
-  ASSERT_TRUE(store->ApplyCommitted("b", "3", false, 30, 0, true).ok());
-  ASSERT_TRUE(store->ApplyCommitted("b", "", true, 40, 0, true).ok());
+  ASSERT_TRUE(store->ApplyCommitted("a", "1", false, 10, 0).ok());
+  ASSERT_TRUE(store->ApplyCommitted("a", "2", false, 20, 0).ok());
+  ASSERT_TRUE(store->ApplyCommitted("b", "3", false, 30, 0).ok());
+  ASSERT_TRUE(store->ApplyCommitted("b", "", true, 40, 0).ok());
+  ASSERT_TRUE(store->WriteCheckpointImages(kInfinityTs).ok());
 
   std::map<std::string, std::string> blobs;
   backend_raw->Scan([&](std::string_view k, std::string_view v) {

@@ -154,7 +154,6 @@ class ScanModel {
 std::unique_ptr<VersionedStore> MakeStore() {
   StoreOptions options;
   options.mvcc_slots = 6;
-  options.write_through = false;
   return std::make_unique<VersionedStore>(
       0, "scan-model", std::make_unique<HashTableBackend>(), options);
 }
@@ -187,7 +186,7 @@ TEST(ScanRangeModelTest, RandomizedRangesAgreeWithModel) {
       const std::string value =
           key + "#" + std::to_string(ts) + std::string(rng.Uniform(20), 'x');
       const Status status =
-          store->ApplyCommitted(key, value, false, ts, watermark, false);
+          store->ApplyCommitted(key, value, false, ts, watermark);
       if (status.IsResourceExhausted()) {
         --clock;  // version array full on both sides; nothing changed
         continue;
@@ -197,7 +196,7 @@ TEST(ScanRangeModelTest, RandomizedRangesAgreeWithModel) {
     } else if (dice < 75) {
       const Timestamp ts = ++clock;
       ASSERT_TRUE(
-          store->ApplyCommitted(key, "", true, ts, watermark, false).ok());
+          store->ApplyCommitted(key, "", true, ts, watermark).ok());
       model.Delete(key, ts);
     } else if (dice < 85) {
       const Timestamp oldest = watermark + rng.Uniform(clock - watermark + 1);
@@ -259,7 +258,7 @@ TEST(ScanRangeModelTest, ConcurrentMutationsKeepScansOrderedAndSnapshotted) {
   for (int k = 0; k < kKeys; ++k) {
     ASSERT_TRUE(store
                     ->ApplyCommitted(key_for(k), "preload", false, kPreloadTs,
-                                     0, false)
+                                     0)
                     .ok());
   }
 
@@ -278,11 +277,10 @@ TEST(ScanRangeModelTest, ConcurrentMutationsKeepScansOrderedAndSnapshotted) {
         const std::string key = key_for(rng.Uniform(kKeys * 2));
         const Timestamp ts = clock.fetch_add(1, std::memory_order_relaxed);
         if (rng.Uniform(5) == 0) {
-          (void)store->ApplyCommitted(key, "", true, ts, kPreloadTs, false);
+          (void)store->ApplyCommitted(key, "", true, ts, kPreloadTs);
         } else {
           const std::string value = key + "#" + std::to_string(ts);
-          (void)store->ApplyCommitted(key, value, false, ts, kPreloadTs,
-                                      false);
+          (void)store->ApplyCommitted(key, value, false, ts, kPreloadTs);
         }
         if (rng.Uniform(64) == 0) {
           // GC must never reclaim versions a kPreloadTs reader still needs.
@@ -359,7 +357,7 @@ TEST(ScanRangeModelTest, ScanRangeZeroAllocAfterWarmup) {
     char buf[16];
     std::snprintf(buf, sizeof(buf), "key-%03d", k);
     // Values fit in SSO buffers, so the scan's reusable buffer never grows.
-    ASSERT_TRUE(store->ApplyCommitted(buf, "v", false, 10, 0, false).ok());
+    ASSERT_TRUE(store->ApplyCommitted(buf, "v", false, 10, 0).ok());
   }
   const std::string lo = "key-008";
   const std::string hi = "key-024";
@@ -389,14 +387,14 @@ TEST(ScanRangeModelTest, ReloadedStoreServesOrderedScans) {
   // authoritative entries instead of inserting duplicates; a reloaded store
   // must scan identically.
   StoreOptions options;
-  options.write_through = true;
   auto backend = std::make_unique<HashTableBackend>();
   HashTableBackend* backend_raw = backend.get();
   auto store = std::make_unique<VersionedStore>(0, "s", std::move(backend),
                                                 options);
-  ASSERT_TRUE(store->ApplyCommitted("b", "2", false, 10, 0, true).ok());
-  ASSERT_TRUE(store->ApplyCommitted("a", "1", false, 10, 0, true).ok());
-  ASSERT_TRUE(store->ApplyCommitted("c", "3", false, 10, 0, true).ok());
+  ASSERT_TRUE(store->ApplyCommitted("b", "2", false, 10, 0).ok());
+  ASSERT_TRUE(store->ApplyCommitted("a", "1", false, 10, 0).ok());
+  ASSERT_TRUE(store->ApplyCommitted("c", "3", false, 10, 0).ok());
+  ASSERT_TRUE(store->WriteCheckpointImages(kInfinityTs).ok());
 
   std::map<std::string, std::string> blobs;
   backend_raw->Scan([&](std::string_view k, std::string_view v) {

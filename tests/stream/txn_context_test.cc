@@ -146,16 +146,16 @@ TEST(WatermarkTest, LatestModificationTracksDeletes) {
   auto db = Database::Open(options);
   auto* store = (*db)->CreateState("s").value();
 
-  ASSERT_TRUE(store->ApplyCommitted("k", "v", false, 10, 0, false).ok());
+  ASSERT_TRUE(store->ApplyCommitted("k", "v", false, 10, 0).ok());
   EXPECT_EQ(store->LatestModification("k"), 10u);
-  ASSERT_TRUE(store->ApplyCommitted("k", "", true, 20, 0, false).ok());
+  ASSERT_TRUE(store->ApplyCommitted("k", "", true, 20, 0).ok());
   EXPECT_EQ(store->LatestModification("k"), 20u)
       << "a committed delete is a modification";
   // GC may reclaim the deleted version; the watermark must survive.
   store->GarbageCollectAll(/*oldest_active=*/30);
   EXPECT_EQ(store->LatestModification("k"), 20u);
   // No-op delete of a missing key still counts (write-write conflict).
-  ASSERT_TRUE(store->ApplyCommitted("ghost", "", true, 25, 0, false).ok());
+  ASSERT_TRUE(store->ApplyCommitted("ghost", "", true, 25, 0).ok());
   EXPECT_EQ(store->LatestModification("ghost"), 25u);
   // Recovery purge rolls the watermark back below the purge point. (GC
   // already reclaimed the version that carried ts=10, so the exact value

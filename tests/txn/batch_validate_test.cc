@@ -44,7 +44,7 @@ Request MakeRequest(std::string_view key) {
 TEST(LockForCommitBatchTest, LocksEveryKeyAndResolvesHandles) {
   auto store = MakeStore();
   // One pre-existing key, two misses that must be created.
-  ASSERT_TRUE(store->ApplyCommitted("b", "v", false, 5, 0, false).ok());
+  ASSERT_TRUE(store->ApplyCommitted("b", "v", false, 5, 0).ok());
 
   const std::string keys[] = {"a", "b", "c"};
   std::vector<Request> requests;
@@ -109,7 +109,7 @@ TEST(LockForCommitBatchTest, FcwConflictCountsFailingKeyAsLocked) {
   // so first-committer-wins rejects the batch. Matching the per-key path,
   // the FCW-failing key IS locked and counted: the caller records and
   // later releases it like any other claimed lock.
-  ASSERT_TRUE(store->ApplyCommitted("k", "new", false, 100, 0, false).ok());
+  ASSERT_TRUE(store->ApplyCommitted("k", "new", false, 100, 0).ok());
 
   const std::string keys[] = {"j", "k"};
   std::vector<Request> requests;
@@ -131,7 +131,7 @@ TEST(LockForCommitBatchTest, FcwConflictCountsFailingKeyAsLocked) {
 
 TEST(LockForCommitBatchTest, EntriesCreatedPastConflictAreInvisible) {
   auto store = MakeStore();
-  ASSERT_TRUE(store->ApplyCommitted("stale", "x", false, 100, 0, false).ok());
+  ASSERT_TRUE(store->ApplyCommitted("stale", "x", false, 100, 0).ok());
 
   // Batch {stale, ghost} for txn 50: "stale" fails FCW, so the batch never
   // proceeds to lock "ghost" — but Phase B already created its entry. That

@@ -70,8 +70,8 @@ TEST(VersionedStoreTest, ReadMissingKeyIsNotFound) {
 
 TEST(VersionedStoreTest, ApplyThenReadAtSnapshot) {
   auto store = MakeStore();
-  ASSERT_TRUE(store->ApplyCommitted("k", "v1", false, 10, 0, false).ok());
-  ASSERT_TRUE(store->ApplyCommitted("k", "v2", false, 20, 0, false).ok());
+  ASSERT_TRUE(store->ApplyCommitted("k", "v1", false, 10, 0).ok());
+  ASSERT_TRUE(store->ApplyCommitted("k", "v2", false, 20, 0).ok());
   std::string value;
   ASSERT_TRUE(store->ReadCommitted(15, "k", &value).ok());
   EXPECT_EQ(value, "v1");
@@ -84,7 +84,7 @@ TEST(VersionedStoreTest, ApplyThenReadAtSnapshot) {
 
 TEST(VersionedStoreTest, DeleteOfMissingKeyIsNoop) {
   auto store = MakeStore();
-  EXPECT_TRUE(store->ApplyCommitted("ghost", "", true, 10, 0, false).ok());
+  EXPECT_TRUE(store->ApplyCommitted("ghost", "", true, 10, 0).ok());
 }
 
 TEST(VersionedStoreTest, CommitLockIsExclusivePerKey) {
@@ -109,10 +109,10 @@ TEST(VersionedStoreTest, UnlockByNonOwnerIsIgnored) {
 
 TEST(VersionedStoreTest, ScanSeesSnapshot) {
   auto store = MakeStore();
-  ASSERT_TRUE(store->ApplyCommitted("a", "1", false, 10, 0, false).ok());
-  ASSERT_TRUE(store->ApplyCommitted("b", "2", false, 10, 0, false).ok());
-  ASSERT_TRUE(store->ApplyCommitted("b", "2'", false, 20, 0, false).ok());
-  ASSERT_TRUE(store->ApplyCommitted("c", "3", false, 20, 0, false).ok());
+  ASSERT_TRUE(store->ApplyCommitted("a", "1", false, 10, 0).ok());
+  ASSERT_TRUE(store->ApplyCommitted("b", "2", false, 10, 0).ok());
+  ASSERT_TRUE(store->ApplyCommitted("b", "2'", false, 20, 0).ok());
+  ASSERT_TRUE(store->ApplyCommitted("c", "3", false, 20, 0).ok());
 
   std::map<std::string, std::string> at10;
   ASSERT_TRUE(store
@@ -137,25 +137,66 @@ TEST(VersionedStoreTest, ScanSeesSnapshot) {
   EXPECT_EQ(at20["b"], "2'");
 }
 
-TEST(VersionedStoreTest, WriteThroughPersistsAndReloads) {
+TEST(VersionedStoreTest, CheckpointImagePersistsAndReloads) {
   StoreOptions options;
-  options.write_through = true;
   auto backend = std::make_unique<HashTableBackend>();
   HashTableBackend* backend_raw = backend.get();
   auto store = std::make_unique<VersionedStore>(0, "s", std::move(backend),
                                                 options);
-  ASSERT_TRUE(store->ApplyCommitted("k", "v", false, 10, 0, true).ok());
-  EXPECT_EQ(backend_raw->ApproximateCount(), 1u);
+  ASSERT_TRUE(store->ApplyCommitted("k", "v", false, 10, 0).ok());
+  ASSERT_TRUE(store->ApplyCommitted("k", "v2", false, 20, 0).ok());
+  EXPECT_EQ(backend_raw->ApproximateCount(), 0u)
+      << "a commit must not write the backend";
 
+  // The image at a cut of 15 holds the version at 10, still live: the
+  // commit at 20 is above the cut and comes back from the log.
+  ASSERT_TRUE(store->WriteCheckpointImages(15).ok());
+  EXPECT_EQ(backend_raw->ApproximateCount(), 1u);
   // A fresh store over the same backend data must see the version again.
   // (HashTableBackend is in-process, so simulate by decoding the blob.)
   std::string blob;
   ASSERT_TRUE(backend_raw->Get("k", &blob).ok());
   auto object = MvccObject::Decode(blob, 8);
   ASSERT_TRUE(object.ok());
+  EXPECT_EQ(object->VersionCount(), 1);
   std::string value;
-  ASSERT_TRUE(object->GetVisible(10, &value));
+  ASSERT_TRUE(object->GetVisible(30, &value));
   EXPECT_EQ(value, "v");
+
+  // Unchanged since its image: the next checkpoint rewrites it only
+  // because the version at 20 is not in the image yet.
+  ASSERT_TRUE(backend_raw->Delete("k", false).ok());
+  ASSERT_TRUE(store->WriteCheckpointImages(25).ok());
+  ASSERT_TRUE(backend_raw->Get("k", &blob).ok());
+  auto newer = MvccObject::Decode(blob, 8);
+  ASSERT_TRUE(newer.ok());
+  ASSERT_TRUE(newer->GetVisible(30, &value));
+  EXPECT_EQ(value, "v2");
+  ASSERT_TRUE(backend_raw->Delete("k", false).ok());
+  ASSERT_TRUE(store->WriteCheckpointImages(40).ok());
+  EXPECT_TRUE(backend_raw->Get("k", &blob).IsNotFound())
+      << "a clean key must not be re-imaged";
+}
+
+TEST(VersionedStoreTest, ReplayNeverInstallsAnOlderCtsAfterANewerOne) {
+  auto store = MakeStore();
+  ASSERT_TRUE(store->ReplayCommitted("k", "v20", false, 20, 0).ok());
+  // Records at or below what the key already holds are skipped: replaying
+  // the same record twice, or an older one after a newer one, installs
+  // nothing.
+  ASSERT_TRUE(store->ReplayCommitted("k", "v20", false, 20, 0).ok());
+  ASSERT_TRUE(store->ReplayCommitted("k", "v10", false, 10, 0).ok());
+  ASSERT_TRUE(store->ReplayCommitted("k", "", true, 15, 0).ok());
+  std::string value;
+  ASSERT_TRUE(store->ReadCommitted(kInfinityTs - 1, "k", &value).ok());
+  EXPECT_EQ(value, "v20");
+  EXPECT_TRUE(store->ReadCommitted(19, "k", &value).IsNotFound());
+  EXPECT_EQ(store->LatestModification("k"), 20u);
+  // A newer record still applies.
+  ASSERT_TRUE(store->ReplayCommitted("k", "", true, 30, 0).ok());
+  EXPECT_TRUE(store->ReadCommitted(kInfinityTs - 1, "k", &value).IsNotFound());
+  ASSERT_TRUE(store->ReadCommitted(25, "k", &value).ok());
+  EXPECT_EQ(value, "v20");
 }
 
 TEST(VersionedStoreTest, BulkLoadVisibleToEveryone) {
@@ -169,9 +210,9 @@ TEST(VersionedStoreTest, BulkLoadVisibleToEveryone) {
 
 TEST(VersionedStoreTest, PurgeVersionsAfterWatermark) {
   auto store = MakeStore();
-  ASSERT_TRUE(store->ApplyCommitted("a", "ok", false, 10, 0, false).ok());
-  ASSERT_TRUE(store->ApplyCommitted("a", "lost", false, 30, 0, false).ok());
-  ASSERT_TRUE(store->ApplyCommitted("b", "lost", false, 30, 0, false).ok());
+  ASSERT_TRUE(store->ApplyCommitted("a", "ok", false, 10, 0).ok());
+  ASSERT_TRUE(store->ApplyCommitted("a", "lost", false, 30, 0).ok());
+  ASSERT_TRUE(store->ApplyCommitted("b", "lost", false, 30, 0).ok());
   EXPECT_EQ(store->PurgeVersionsAfter(20), 2u);
   std::string value;
   ASSERT_TRUE(store->ReadLatest("a", &value).ok());
@@ -184,14 +225,12 @@ TEST(VersionedStoreTest, AdaptiveGrowthAbsorbsHotKeyChurnUnderLaggingPin) {
   StoreOptions options;
   options.mvcc_slots = 2;
   options.mvcc_slots_max = 8;
-  options.write_through = false;
   auto store = MakeStore(0, options);
   // A pin at 0 keeps everything visible: each full array must grow.
   for (Timestamp ts = 1; ts <= 8; ++ts) {
     ASSERT_TRUE(store
                     ->ApplyCommitted("hot", "v" + std::to_string(ts), false,
-                                     ts * 10, /*oldest_active=*/kInitialTs,
-                                     false)
+                                     ts * 10, /*oldest_active=*/kInitialTs)
                     .ok())
         << "ts " << ts;
   }
@@ -204,7 +243,7 @@ TEST(VersionedStoreTest, AdaptiveGrowthAbsorbsHotKeyChurnUnderLaggingPin) {
   }
   // At mvcc_slots_max with a FIXED (non-refreshable) floor: fail fast — a
   // fixed watermark can never rise, so waiting would be pure dead time.
-  EXPECT_TRUE(store->ApplyCommitted("hot", "v9", false, 90, kInitialTs, false)
+  EXPECT_TRUE(store->ApplyCommitted("hot", "v9", false, 90, kInitialTs)
                   .IsResourceExhausted());
   EXPECT_EQ(store->stats().version_wait_stalls.load(), 0u);
 }
@@ -214,11 +253,10 @@ TEST(VersionedStoreTest, BackpressureWaitsForRefreshableFloorToAdvance) {
   options.mvcc_slots = 2;
   options.mvcc_slots_max = 2;  // growth off: exercise the wait path alone
   options.version_wait_micros = 2'000'000;
-  options.write_through = false;
   auto store = MakeStore(0, options);
-  ASSERT_TRUE(store->ApplyCommitted("k", "v1", false, 10, kInitialTs, false)
+  ASSERT_TRUE(store->ApplyCommitted("k", "v1", false, 10, kInitialTs)
                   .ok());
-  ASSERT_TRUE(store->ApplyCommitted("k", "v2", false, 20, kInitialTs, false)
+  ASSERT_TRUE(store->ApplyCommitted("k", "v2", false, 20, kInitialTs)
                   .ok());
 
   // A refreshable floor that rises from 0 to 15 when the "lagging reader"
@@ -243,8 +281,7 @@ TEST(VersionedStoreTest, BackpressureWaitsForRefreshableFloorToAdvance) {
         // lagging reader's transaction would have ended.
         x->floor.store(25);
       });
-  const Status first = store->ApplyCommitted("k", "v3", false, 30, floor,
-                                             false);
+  const Status first = store->ApplyCommitted("k", "v3", false, 30, floor);
   ASSERT_TRUE(first.ok()) << first.ToString();
   EXPECT_GE(ctx.waits.load(), 1);
   EXPECT_GE(ctx.computes.load(), 2);  // initial resolve + >=1 re-resolution
@@ -259,11 +296,10 @@ TEST(VersionedStoreTest, BackpressureGivesUpAfterBoundedWait) {
   options.mvcc_slots = 2;
   options.mvcc_slots_max = 2;
   options.version_wait_micros = 3'000;  // tiny budget: the pin never moves
-  options.write_through = false;
   auto store = MakeStore(0, options);
-  ASSERT_TRUE(store->ApplyCommitted("k", "v1", false, 10, kInitialTs, false)
+  ASSERT_TRUE(store->ApplyCommitted("k", "v1", false, 10, kInitialTs)
                   .ok());
-  ASSERT_TRUE(store->ApplyCommitted("k", "v2", false, 20, kInitialTs, false)
+  ASSERT_TRUE(store->ApplyCommitted("k", "v2", false, 20, kInitialTs)
                   .ok());
 
   std::atomic<int> waits{0};
@@ -273,7 +309,7 @@ TEST(VersionedStoreTest, BackpressureGivesUpAfterBoundedWait) {
         static_cast<std::atomic<int>*>(c)->fetch_add(1);
         std::this_thread::sleep_for(std::chrono::microseconds(micros));
       });
-  EXPECT_TRUE(store->ApplyCommitted("k", "v3", false, 30, floor, false)
+  EXPECT_TRUE(store->ApplyCommitted("k", "v3", false, 30, floor)
                   .IsResourceExhausted());
   EXPECT_GE(waits.load(), 1);
   EXPECT_EQ(store->stats().version_wait_stalls.load(), 1u);
@@ -290,7 +326,7 @@ TEST(VersionedStoreTest, GarbageCollectAllReclaims) {
   for (Timestamp ts = 1; ts <= 3; ++ts) {
     ASSERT_TRUE(
         store->ApplyCommitted("k", "v" + std::to_string(ts), false, ts * 10,
-                              0, false)
+                              0)
             .ok());
   }
   // All snapshots up to 30 are released.
@@ -307,8 +343,9 @@ TEST(VersionedStoreTest, LoadFromBackendRebuildsStore) {
     auto backend = std::make_unique<HashTableBackend>();
     HashTableBackend* backend_raw = backend.get();
     VersionedStore store(0, "s", std::move(backend), options);
-    ASSERT_TRUE(store.ApplyCommitted("x", "1", false, 5, 0, false).ok());
-    ASSERT_TRUE(store.ApplyCommitted("y", "2", false, 7, 0, false).ok());
+    ASSERT_TRUE(store.ApplyCommitted("x", "1", false, 5, 0).ok());
+    ASSERT_TRUE(store.ApplyCommitted("y", "2", false, 7, 0).ok());
+    ASSERT_TRUE(store.WriteCheckpointImages(kInfinityTs).ok());
     backend_raw->Scan([&](std::string_view k, std::string_view v) {
       blobs[std::string(k)] = std::string(v);
       return true;
@@ -333,10 +370,11 @@ TEST(VersionedStoreTest, WarmReloadReplacesEntriesAndMaintenanceSeesOnlyThem) {
   VersionedStore store(0, "s", std::move(backend), options);
   // Persisted state: k@5. Then advance the in-memory state past the backend
   // snapshot and reload: the store must roll back to what the backend holds.
-  ASSERT_TRUE(store.ApplyCommitted("k", "persisted", false, 5, 0, false).ok());
+  ASSERT_TRUE(store.ApplyCommitted("k", "persisted", false, 5, 0).ok());
+  ASSERT_TRUE(store.WriteCheckpointImages(kInfinityTs).ok());
   std::string blob;
   ASSERT_TRUE(store.backend()->Get("k", &blob).ok());
-  ASSERT_TRUE(store.ApplyCommitted("k", "newer", false, 100, 0, false).ok());
+  ASSERT_TRUE(store.ApplyCommitted("k", "newer", false, 100, 0).ok());
   ASSERT_TRUE(store.backend()->Put("k", blob, false).ok());  // stale blob
   ASSERT_TRUE(store.LoadFromBackend().ok());
 
@@ -362,9 +400,9 @@ TEST(VersionedStoreTest, WarmReloadReplacesEntriesAndMaintenanceSeesOnlyThem) {
 
 TEST(VersionedStoreTest, StatsCountReadsInstallsAndMisses) {
   auto store = MakeStore();
-  ASSERT_TRUE(store->ApplyCommitted("a", "1", false, 10, 0, false).ok());
-  ASSERT_TRUE(store->ApplyCommitted("b", "2", false, 20, 0, false).ok());
-  ASSERT_TRUE(store->ApplyCommitted("b", "", true, 30, 0, false).ok());
+  ASSERT_TRUE(store->ApplyCommitted("a", "1", false, 10, 0).ok());
+  ASSERT_TRUE(store->ApplyCommitted("b", "2", false, 20, 0).ok());
+  ASSERT_TRUE(store->ApplyCommitted("b", "", true, 30, 0).ok());
 
   std::string value;
   ASSERT_TRUE(store->ReadCommitted(15, "a", &value).ok());
@@ -391,13 +429,12 @@ TEST(VersionedStoreTest, StatsCountReadsInstallsAndMisses) {
 
 TEST(VersionedStoreReadPathTest, ReadCommittedZeroAllocForResidentKeys) {
   StoreOptions options;
-  options.write_through = false;
   auto store = MakeStore(0, options);
   for (int k = 0; k < 16; ++k) {
     const std::string key = "key-" + std::to_string(k);
     ASSERT_TRUE(store
                     ->ApplyCommitted(key, "value-" + std::to_string(k), false,
-                                     10, 0, false)
+                                     10, 0)
                     .ok());
   }
 
@@ -419,13 +456,12 @@ TEST(VersionedStoreReadPathTest, ReadCommittedZeroAllocForResidentKeys) {
 
 TEST(VersionedStoreReadPathTest, ScanCommittedZeroAllocAfterWarmup) {
   StoreOptions options;
-  options.write_through = false;
   auto store = MakeStore(0, options);
   for (int k = 0; k < 32; ++k) {
     // Values fit in SSO buffers, so the scan's reusable buffer never grows.
     ASSERT_TRUE(store
                     ->ApplyCommitted("key-" + std::to_string(k), "v", false,
-                                     10, 0, false)
+                                     10, 0)
                     .ok());
   }
   std::size_t seen = 0;
@@ -450,12 +486,11 @@ TEST(VersionedStoreReadPathTest, ScanCallbackMayCreateKeysInSameStore) {
   // on the same shard) self-deadlocked. The scan now releases the latch
   // before every callback, making write-backs — including inserts — safe.
   StoreOptions options;
-  options.write_through = false;
   auto store = MakeStore(0, options);
   for (int k = 0; k < 16; ++k) {
     ASSERT_TRUE(store
                     ->ApplyCommitted("key-" + std::to_string(k), "v", false,
-                                     10, 0, false)
+                                     10, 0)
                     .ok());
   }
   std::size_t seen = 0;
@@ -468,7 +503,7 @@ TEST(VersionedStoreReadPathTest, ScanCallbackMayCreateKeysInSameStore) {
                                         ->ApplyCommitted(
                                             std::string("derived-") +
                                                 std::string(key),
-                                            "d", false, 20, 0, false)
+                                            "d", false, 20, 0)
                                         .ok());
                         return true;
                       })
@@ -481,12 +516,12 @@ TEST(VersionedStoreReadPathTest, ScanCallbackMayCreateKeysInSameStore) {
 
 TEST(VersionedStoreReadPathTest, ReadLatestSkipsDeletedAndOldVersions) {
   auto store = MakeStore();
-  ASSERT_TRUE(store->ApplyCommitted("k", "v1", false, 10, 0, false).ok());
-  ASSERT_TRUE(store->ApplyCommitted("k", "v2", false, 20, 0, false).ok());
+  ASSERT_TRUE(store->ApplyCommitted("k", "v1", false, 10, 0).ok());
+  ASSERT_TRUE(store->ApplyCommitted("k", "v2", false, 20, 0).ok());
   std::string value;
   ASSERT_TRUE(store->ReadLatest("k", &value).ok());
   EXPECT_EQ(value, "v2");
-  ASSERT_TRUE(store->ApplyCommitted("k", "", true, 30, 0, false).ok());
+  ASSERT_TRUE(store->ApplyCommitted("k", "", true, 30, 0).ok());
   // The newest version is a tombstone: the direct live-version probe must
   // report NotFound, not resurrect v2.
   EXPECT_TRUE(store->ReadLatest("k", &value).IsNotFound());
@@ -505,7 +540,6 @@ TEST(VersionedStoreStressTest, ConcurrentReadersVsInstallDeleteGc) {
 
   StoreOptions options;
   options.mvcc_slots = 4;
-  options.write_through = false;
   auto store = MakeStore(0, options);
 
   const auto key_for = [](int k) { return "key-" + std::to_string(k); };
@@ -516,7 +550,7 @@ TEST(VersionedStoreStressTest, ConcurrentReadersVsInstallDeleteGc) {
   // never deleted and must never disappear.
   for (int k = 0; k < kKeys; ++k) {
     ASSERT_TRUE(
-        store->ApplyCommitted(key_for(k), value_for(k, 1), false, 1, 0, false)
+        store->ApplyCommitted(key_for(k), value_for(k, 1), false, 1, 0)
             .ok());
   }
 
@@ -606,16 +640,16 @@ TEST(VersionedStoreStressTest, ConcurrentReadersVsInstallDeleteGc) {
       Status status;
       if (k != 0 && i % 7 == 0) {
         status = store->ApplyCommitted(key_for(k), "", true, ts,
-                                       oldest_active.load(), false);
+                                       oldest_active.load());
         if (status.ok()) {
           status = store->ApplyCommitted(
               key_for(k), value_for(k, ts + 1),
               false, clock.fetch_add(1, std::memory_order_acq_rel) + 1,
-              oldest_active.load(), false);
+              oldest_active.load());
         }
       } else {
         status = store->ApplyCommitted(key_for(k), value_for(k, ts), false,
-                                       ts, oldest_active.load(), false);
+                                       ts, oldest_active.load());
       }
       if (!status.ok() && !status.IsResourceExhausted()) {
         errors[kReaders + 1] = "write failed: " + std::string(status.message());
