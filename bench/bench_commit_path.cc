@@ -188,7 +188,7 @@ HotKeyResult RunHotKeyChurn(int committers, const std::string& dir) {
   context.RegisterGroup({state});
 
   StoreOptions store_options;
-  // Defaults on purpose: mvcc_slots = 8, growth to 64, 200 ms wait budget —
+  // Defaults on purpose: mvcc_slots = 4, growth to 64, 200 ms wait budget —
   // the production shape the partitioned stream stress runs with.
   VersionedStore store(state, "bench", std::make_unique<HashTableBackend>(),
                        store_options);

@@ -1,17 +1,35 @@
 #include "mvcc/mvcc_object.h"
 
 #include <algorithm>
+#include <cstring>
+#include <new>
 
 #include "common/coding.h"
 #include "common/epoch.h"
 
 namespace streamsi {
 
+const MvccObject::Value* MvccObject::Value::Make(std::string_view bytes) {
+  void* memory = ::operator new(sizeof(Value) + bytes.size());
+  auto* value = new (memory) Value(bytes.size());
+  std::memcpy(static_cast<char*>(memory) + sizeof(Value), bytes.data(),
+              bytes.size());
+  return value;
+}
+
+MvccObject::VersionArray* MvccObject::VersionArray::Make(int capacity) {
+  void* memory = ::operator new(sizeof(VersionArray) +
+                                sizeof(Slot) * static_cast<std::size_t>(capacity));
+  auto* array = new (memory) VersionArray(capacity);
+  for (int i = 0; i < capacity; ++i) new (&array->slots[i]) Slot();
+  return array;
+}
+
 // Minimum capacity is 2: an update must be able to install the new version
 // while the still-live predecessor occupies its slot (the predecessor only
 // becomes reclaimable after its dts falls behind OldestActiveVersion).
 MvccObject::MvccObject(int capacity)
-    : array_(new VersionArray(
+    : array_(VersionArray::Make(
           std::clamp(capacity, 2, AtomicSlotMask::kMaxSlots))) {}
 
 MvccObject::MvccObject(MvccObject&& other) noexcept
@@ -70,17 +88,14 @@ int MvccObject::FindLiveSlot(const VersionArray& array) const {
 
 // ------------------------------------------------------ optimistic reads ---
 
-namespace {
-
 /// Copies `*buffer` into `*value` without shrinking capacity (so a reused
 /// output string stops allocating once it reaches its high-water mark).
-inline void CopyValue(const std::string* buffer, std::string* value) {
+inline void MvccObject::CopyValue(const Value* buffer, std::string* value) {
   if (value != nullptr && buffer != nullptr) {
-    value->assign(buffer->data(), buffer->size());
+    const std::string_view bytes = buffer->view();
+    value->assign(bytes.data(), bytes.size());
   }
 }
-
-}  // namespace
 
 MvccObject::ReadResult MvccObject::TryGetVisible(Timestamp read_ts,
                                                  std::string* value) const {
@@ -91,7 +106,7 @@ MvccObject::ReadResult MvccObject::TryGetVisible(Timestamp read_ts,
     const VersionArray& array = *array_.load(std::memory_order_acquire);
     const int slot = FindVisibleSlot(array, read_ts);
     if (slot < 0) return ReadResult::kMiss;
-    const std::string* buffer =
+    const Value* buffer =
         array.slots[static_cast<std::size_t>(slot)].value.load(
             std::memory_order_acquire);
     if (buffer == nullptr) return ReadResult::kRetry;  // mid-install slot
@@ -109,7 +124,7 @@ MvccObject::ReadResult MvccObject::TryGetLatestLive(std::string* value) const {
     const VersionArray& array = *array_.load(std::memory_order_acquire);
     const int slot = FindLiveSlot(array);
     if (slot < 0) return ReadResult::kMiss;
-    const std::string* buffer =
+    const Value* buffer =
         array.slots[static_cast<std::size_t>(slot)].value.load(
             std::memory_order_acquire);
     if (buffer == nullptr) return ReadResult::kRetry;  // mid-install slot
@@ -186,10 +201,10 @@ MvccObject::RetireList::~RetireList() {
   if (array_ != nullptr) EpochManager::Global().Retire(array_);
 }
 
-const std::string* MvccObject::UnlinkSlotValue(const VersionArray& array,
-                                               int slot) {
+const MvccObject::Value* MvccObject::UnlinkSlotValue(
+    const VersionArray& array, int slot) {
   Slot& target = array.slots[static_cast<std::size_t>(slot)];
-  const std::string* old =
+  const Value* old =
       target.value.exchange(nullptr, std::memory_order_acq_rel);
   // Scrub the header so a later re-acquisition never observes a stale
   // lifetime (in particular a stale open dts).
@@ -201,7 +216,7 @@ const std::string* MvccObject::UnlinkSlotValue(const VersionArray& array,
 MvccObject::VersionArray* MvccObject::GrowLocked(int new_capacity,
                                                  RetireList* retired) {
   VersionArray* old = array_.load(std::memory_order_relaxed);
-  auto grown = std::make_unique<VersionArray>(new_capacity);
+  std::unique_ptr<VersionArray> grown(VersionArray::Make(new_capacity));
   for (int i = 0; i < old->capacity; ++i) {
     if (!used_.IsSet(i)) continue;
     const Slot& src = old->slots[static_cast<std::size_t>(i)];
@@ -227,7 +242,7 @@ Status MvccObject::Install(std::string_view value, Timestamp commit_ts,
   // The buffer is built before the write section so the seqlock stays odd
   // for as short as possible; unlinked buffers are retired after it closes
   // (RetireList destructs last) for the same reason.
-  auto buffer = std::make_unique<const std::string>(value);
+  std::unique_ptr<const Value> buffer(Value::Make(value));
 
   VersionArray* array = array_.load(std::memory_order_relaxed);
   // Resolve the (lazy) GC watermark outside the seqlock when the array is
@@ -362,8 +377,9 @@ void MvccObject::EncodeTo(std::string* out, Timestamp ceiling) const {
     const Timestamp dts = slot.dts.load(std::memory_order_acquire);
     PutVarint64(out, slot.cts.load(std::memory_order_acquire));
     PutVarint64(out, dts <= ceiling ? dts : kInfinityTs);
-    const std::string* buffer = slot.value.load(std::memory_order_acquire);
-    PutLengthPrefixed(out, buffer != nullptr ? *buffer : std::string_view());
+    const Value* buffer = slot.value.load(std::memory_order_acquire);
+    PutLengthPrefixed(out,
+                      buffer != nullptr ? buffer->view() : std::string_view());
   }
 }
 
@@ -404,7 +420,7 @@ Result<MvccObject> MvccObject::Decode(std::string_view in, int min_capacity) {
     Slot& target = array.slots[static_cast<std::size_t>(slot)];
     target.cts.store(cts, std::memory_order_relaxed);
     target.dts.store(dts, std::memory_order_relaxed);
-    target.value.store(new std::string(value), std::memory_order_relaxed);
+    target.value.store(Value::Make(value), std::memory_order_relaxed);
   }
   return object;
 }

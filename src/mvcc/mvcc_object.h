@@ -188,6 +188,23 @@ class MvccObject {
   std::vector<VersionHeader> Headers() const;
 
  private:
+  /// An immutable version payload: its length and bytes in ONE allocation.
+  /// (A std::string keeps a value past its small-string size in a second,
+  /// separately placed heap block: one more dependent cache miss on every
+  /// read of the version, and one more allocation per install.)
+  class Value {
+   public:
+    static const Value* Make(std::string_view bytes);
+    static void operator delete(void* p) { ::operator delete(p); }
+    std::string_view view() const {
+      return {reinterpret_cast<const char*>(this + 1), size_};
+    }
+
+   private:
+    explicit Value(std::size_t size) : size_(size) {}
+    const std::size_t size_;
+  };
+
   /// One version slot. cts/dts/value are individually atomic so optimistic
   /// readers race-freely observe them; logical consistency across fields is
   /// enforced by the seqlock, not by the individual orderings.
@@ -196,22 +213,27 @@ class MvccObject {
     std::atomic<Timestamp> dts{kInfinityTs};
     /// Immutable once published; retired through the EpochManager when the
     /// slot is reclaimed or overwritten.
-    std::atomic<const std::string*> value{nullptr};
+    std::atomic<const Value*> value{nullptr};
   };
 
   /// The slot storage, published via `array_` with a release store so a
   /// single load hands a reader a capacity and a matching slot block —
   /// loading them from two places could pair a grown capacity with the old
-  /// (smaller) allocation and probe out of bounds. Superseded arrays are
-  /// retired through the EpochManager (readers drain on the frozen copy);
-  /// the value buffers are shared with the successor and owned by whichever
-  /// array is current when the object dies.
-  struct VersionArray {
-    explicit VersionArray(int capacity_arg)
-        : capacity(capacity_arg),
-          slots(new Slot[static_cast<std::size_t>(capacity_arg)]) {}
+  /// (smaller) allocation and probe out of bounds. Header and slots share
+  /// one allocation (the slots trail the header), so a reader reaches a
+  /// slot without a second dependent load. Superseded arrays are retired
+  /// through the EpochManager (readers drain on the frozen copy); the value
+  /// buffers are shared with the successor and owned by whichever array is
+  /// current when the object dies.
+  struct alignas(Slot) VersionArray {
+    static VersionArray* Make(int capacity);
+    static void operator delete(void* p) { ::operator delete(p); }
     const int capacity;
-    const std::unique_ptr<Slot[]> slots;
+    Slot* const slots;
+
+   private:
+    explicit VersionArray(int capacity_arg)
+        : capacity(capacity_arg), slots(reinterpret_cast<Slot*>(this + 1)) {}
   };
 
   /// RAII seqlock write section: seq_ odd while a mutation is in flight.
@@ -233,14 +255,14 @@ class MvccObject {
   /// an odd sequence number.
   class RetireList {
    public:
-    void Add(const std::string* buffer) {
+    void Add(const Value* buffer) {
       if (buffer != nullptr) buffers_[count_++] = buffer;
     }
     void AddArray(const VersionArray* array) { array_ = array; }
     ~RetireList();  // retires everything collected
 
    private:
-    const std::string* buffers_[AtomicSlotMask::kMaxSlots];
+    const Value* buffers_[AtomicSlotMask::kMaxSlots];
     int count_ = 0;
     const VersionArray* array_ = nullptr;
   };
@@ -264,13 +286,14 @@ class MvccObject {
     return result;
   }
 
+  static void CopyValue(const Value* buffer, std::string* value);
   int FindVisibleSlot(const VersionArray& array, Timestamp read_ts) const;
   int FindLiveSlot(const VersionArray& array) const;
   /// GC body shared by GarbageCollect() and Install(); caller already holds
   /// an open WriteSection and flushes `retired` after closing it.
   int GarbageCollectLocked(Timestamp oldest_active, RetireList* retired);
   /// Unlinks and returns the value buffer of `slot`, scrubbing its header.
-  const std::string* UnlinkSlotValue(const VersionArray& array, int slot);
+  const Value* UnlinkSlotValue(const VersionArray& array, int slot);
   /// Publishes a copy of the current array at `new_capacity` (caller holds
   /// the exclusive latch and an open WriteSection) and queues the old one
   /// for epoch retirement. Used slot indices are preserved, so `used_` and

@@ -47,8 +47,11 @@ namespace streamsi {
 
 /// Tuning knobs of one store.
 struct StoreOptions {
-  /// Initial version-array capacity per key (<= 64).
-  int mvcc_slots = 8;
+  /// Initial version-array capacity per key (<= 64). Small on purpose: most
+  /// keys hold a version or two, keys that are never rewritten (deleted
+  /// index composites) keep their array for the store's lifetime, and a
+  /// full array garbage-collects before it grows.
+  int mvcc_slots = 4;
   /// Adaptive-growth ceiling: a full version array whose on-demand GC frees
   /// nothing (every version pinned by some snapshot) is replaced with a
   /// doubled copy up to this many slots instead of failing the commit

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/streamsi.h"
@@ -120,13 +120,13 @@ TEST_F(RecoveryTest, ClockAdvancesPastRecoveredCommits) {
 TEST_F(RecoveryTest, GrownVersionArraySurvivesRestart) {
   StateId a, b;
   GroupId g;
-  constexpr int kOverwrites = 20;  // > default mvcc_slots (8): forces growth
+  constexpr int kOverwrites = 20;  // > default mvcc_slots (4): forces growth
   std::vector<Timestamp> commit_cts;
   {
     auto db = OpenDb(&a, &b, &g);
     // Lagging reader: holds a snapshot pin across every overwrite, so
     // on-demand GC can reclaim nothing and the hot key's version array must
-    // grow (8 -> 16 -> 32) to absorb the churn.
+    // grow (4 -> 8 -> 16 -> 32) to absorb the churn.
     auto reader = db->Begin();
     std::string ignored;
     ASSERT_TRUE(db->txn_manager()
@@ -152,8 +152,8 @@ TEST_F(RecoveryTest, GrownVersionArraySurvivesRestart) {
   }
 
   // Restart: recovery reloads the image from the backend — Decode must
-  // size from the blob (not the configured mvcc_slots default of 8) or the
-  // grown object would fail recovery.
+  // size from the blob (not the configured mvcc_slots default) or the grown
+  // object would fail recovery.
   auto db = OpenDb(&a, &b, &g);
   VersionedStore* store = db->GetState(a);
   ASSERT_NE(store, nullptr);
@@ -431,18 +431,16 @@ TEST_F(RecoveryTest, MixedEraDirectoryReopensWithTheSameContents) {
     }
   }
   {
-    const auto blob = [](std::initializer_list<
-                             std::tuple<Timestamp, Timestamp, const char*>>
-                             versions) {
-      MvccObject object(8);
-      for (const auto& [cts, dts, value] : versions) {
-        EXPECT_TRUE(object.Install(value, cts, kInitialTs).ok());
-        if (dts != kInfinityTs) EXPECT_TRUE(object.MarkDeleted(dts).ok());
-      }
-      std::string out;
-      object.EncodeTo(&out);
-      return out;
-    };
+    const auto blob =
+        [](std::initializer_list<std::pair<Timestamp, const char*>> versions) {
+          MvccObject object(8);
+          for (const auto& [cts, value] : versions) {
+            EXPECT_TRUE(object.Install(value, cts, kInitialTs).ok());
+          }
+          std::string out;
+          object.EncodeTo(&out);
+          return out;
+        };
     BackendOptions backend_options = Options().backend_options;
     backend_options.path = Options().base_dir + "/state_a";
     auto backend_a = OpenBackend(BackendType::kLsm, backend_options);
@@ -453,14 +451,11 @@ TEST_F(RecoveryTest, MixedEraDirectoryReopensWithTheSameContents) {
     // on a but died before its record (torn).
     ASSERT_TRUE((*backend_a)
                     ->Put("k",
-                          blob({{10, kInfinityTs, "old"}, {30, kInfinityTs,
-                                                           "torn"}}),
+                          blob({{10, "old"}, {30, "torn"}}),
                           true)
                     .ok());
-    ASSERT_TRUE((*backend_b)->Put("k", blob({{10, kInfinityTs, "old"}}), true)
-                    .ok());
-    ASSERT_TRUE(
-        (*backend_a)->Put("k2", blob({{20, kInfinityTs, "old2"}}), true).ok());
+    ASSERT_TRUE((*backend_b)->Put("k", blob({{10, "old"}}), true).ok());
+    ASSERT_TRUE((*backend_a)->Put("k2", blob({{20, "old2"}}), true).ok());
     GroupCommitLog log(SyncMode::kFsync, 0);
     ASSERT_TRUE(log.Open(Options().base_dir + "/group_commits.log").ok());
     ASSERT_TRUE(

@@ -28,7 +28,7 @@ class PartitionedConsistencyTest : public ::testing::TestWithParam<ProtocolType>
   void SetUp() override {
     DatabaseOptions options;
     options.protocol = GetParam();
-    // Deliberately the default mvcc_slots (8): 400 tuples over 8 keys = 50
+    // Deliberately the default mvcc_slots (4): 400 tuples over 8 keys = 50
     // overwrites per key, and on a 1-core container a descheduled reader
     // holds its snapshot pin across dozens of lane commits — this test is
     // the reproducer for hot-key version-array exhaustion. Adaptive slot
