@@ -628,7 +628,7 @@ std::uint64_t VersionedStore::GarbageCollectAll(Timestamp oldest_active) {
 }
 
 Status VersionedStore::WriteCheckpointImages(Timestamp ceiling) {
-  std::vector<std::pair<Entry*, Timestamp>> dirty;
+  std::vector<Entry*> dirty;
   std::string blob;
   for (Shard& shard : shards_) {
     dirty.clear();
@@ -637,15 +637,13 @@ Status VersionedStore::WriteCheckpointImages(Timestamp ceiling) {
       // wait on LSM admission, and inserts into this shard must not.
       SharedGuard shard_guard(shard.latch);
       for (auto& entry : shard.entries) {
-        const Timestamp imaged =
-            entry->checkpointed_ts.load(std::memory_order_acquire);
         if (entry->latest_modification.load(std::memory_order_acquire) !=
-            imaged) {
-          dirty.emplace_back(entry.get(), imaged);
+            entry->checkpointed_ts.load(std::memory_order_relaxed)) {
+          dirty.push_back(entry.get());
         }
       }
     }
-    for (auto& [entry, imaged] : dirty) {
+    for (Entry* entry : dirty) {
       // Read before encoding: a modification landing in between is above
       // the ceiling (every commit at or below it had finished when the cut
       // was taken), so the next checkpoint sees the key dirty again.
@@ -657,10 +655,8 @@ Status VersionedStore::WriteCheckpointImages(Timestamp ceiling) {
         entry->object.EncodeTo(&blob, ceiling);
       }
       STREAMSI_RETURN_NOT_OK(backend_->Put(entry->key, blob, /*sync=*/false));
-      // CAS: a recovery purge that forced a re-image meanwhile wins.
-      Timestamp expected = imaged;
-      entry->checkpointed_ts.compare_exchange_strong(
-          expected, std::min(modified, ceiling), std::memory_order_acq_rel);
+      entry->checkpointed_ts.store(std::min(modified, ceiling),
+                                   std::memory_order_relaxed);
     }
   }
   return Status::OK();
@@ -753,20 +749,15 @@ std::uint64_t VersionedStore::PurgeUncommittedVersions(
     SharedGuard shard_guard(shard.latch);
     for (auto& entry : shard.entries) {
       ExclusiveGuard guard(entry->latch);
-      // A rolled-back DELETE releases no slot, so detect any change via the
-      // modification watermark too.
-      const Timestamp before = entry->object.LatestModification();
-      const std::uint64_t entry_purged = static_cast<std::uint64_t>(
+      purged += static_cast<std::uint64_t>(
           entry->object.PurgeUncommitted(covered_cts, is_committed));
-      purged += entry_purged;
+      // Roll the FCW watermark back alongside the purged versions. The
+      // purged version was the key's newest modification, so the watermark
+      // now differs from the loaded image's checkpointed_ts: the next
+      // checkpoint re-images the key. (Until then the image still holds
+      // the purged version, and once a later cut covers its timestamp a
+      // recovery would keep it as committed data.)
       const Timestamp latest = entry->object.LatestModification();
-      if (entry_purged > 0 || latest != before) {
-        // The backend image still holds the purged version. Re-image it at
-        // the next checkpoint: once later cuts cover its timestamp, a
-        // recovery would otherwise keep it as committed data.
-        entry->checkpointed_ts.store(kInfinityTs, std::memory_order_release);
-      }
-      // Roll the FCW watermark back alongside the purged versions.
       if (entry->latest_modification.load(std::memory_order_relaxed) !=
           latest) {
         entry->latest_modification.store(latest, std::memory_order_release);

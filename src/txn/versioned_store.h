@@ -330,8 +330,8 @@ class VersionedStore {
     std::atomic<TxnId> commit_owner{0};
     /// Checkpoint dirty mark: the latest modification the backend image
     /// reflects (capped at that image's ceiling). The key needs a new image
-    /// iff latest_modification differs; kInfinityTs forces one (a recovery
-    /// purge changed versions the image still holds).
+    /// iff latest_modification differs. Written by checkpoints (serialized)
+    /// and entry construction only.
     std::atomic<Timestamp> checkpointed_ts{kInitialTs};
   };
 

@@ -47,6 +47,7 @@ namespace {
 constexpr int kCommitters = 3;
 constexpr int kMaxCommitsPerThread = 4000;  // safety cap, not the target
 constexpr char kPrimaryDir[] = "/db";
+constexpr char kBaseKey[] = "base";
 constexpr char kFollowerDir[] = "/follower";
 
 DatabaseOptions PrimaryTortureOptions(Env* env, ShipTransport* transport) {
@@ -106,6 +107,18 @@ TortureRun RunPrimaryUntilPowerCut(FaultEnv* env, ShipTransport* transport,
   run.b = (*(*db)->CreateState("b"))->id();
   run.g = (*db)->CreateGroup({run.a, run.b});
   EXPECT_TRUE((*db)->Recover().ok());
+  // A key below a checkpoint cut from the start: after the failover its
+  // only copy is an image, so it checks that promotion wrote images.
+  {
+    auto t = (*db)->Begin();
+    EXPECT_TRUE(t.ok());
+    EXPECT_TRUE(
+        (*db)->txn_manager().Write((*t)->txn(), run.a, kBaseKey, "1").ok());
+    EXPECT_TRUE(
+        (*db)->txn_manager().Write((*t)->txn(), run.b, kBaseKey, "1").ok());
+    EXPECT_TRUE((*t)->Commit().ok());
+  }
+  EXPECT_TRUE((*db)->Checkpoint().ok());
   // Arm AFTER setup: the cut lands inside the commit/checkpoint/ship
   // workload, not inside directory scaffolding.
   env->CutPowerAfterOps(30 + rng->Uniform(2500));
@@ -269,6 +282,8 @@ TEST_P(ReplicationFailoverTest, AckedCommitsSurvivePrimaryPowerCut) {
   EXPECT_FALSE(violation_detected) << repro;
   EXPECT_EQ(ReadOne(**reopened, run.a, "post"), "1") << repro;
   EXPECT_EQ(ReadOne(**reopened, run.b, "post"), "1") << repro;
+  EXPECT_EQ(ReadOne(**reopened, run.a, kBaseKey), "1") << repro;
+  EXPECT_EQ(ReadOne(**reopened, run.b, kBaseKey), "1") << repro;
 }
 
 std::uint64_t TortureSeedCount() {
