@@ -91,6 +91,7 @@ Status WalWriter::AwaitDurableLocked(std::unique_lock<std::mutex>& lk,
 Status WalWriter::Append(WalRecordType type, std::string_view payload,
                          bool sync) {
   std::unique_lock<std::mutex> lk(mutex_);
+  cv_.wait(lk, [&] { return !rotating_; });
   if (!sticky_status_.ok()) return sticky_status_;
   EncodeRecordTo(&pending_, type, payload);
   appended_bytes_.fetch_add(9 + payload.size(), std::memory_order_acq_rel);
@@ -139,11 +140,18 @@ Status WalWriter::RotateTo(const std::string& path) {
   // parked sync followers AND buffered unsynced riders all reach the current
   // file before the switch — a sync follower whose batch we silently moved
   // to the new file would otherwise have its durability satisfied by a sync
-  // of the wrong fd. Loop: leading a batch releases the mutex, so new
-  // appends may accumulate behind us.
-  while (leader_active_ || !pending_.empty() || sync_requested_) {
-    STREAMSI_RETURN_NOT_OK(AwaitDurableLocked(lk, accumulating_batch_));
+  // of the wrong fd. New appends wait for the switch: leading a batch
+  // releases the mutex, and appends accumulating behind every batch would
+  // starve the drain under steady commit traffic.
+  rotating_ = true;
+  Status status;
+  while (status.ok() &&
+         (leader_active_ || !pending_.empty() || sync_requested_)) {
+    status = AwaitDurableLocked(lk, accumulating_batch_);
   }
+  rotating_ = false;
+  cv_.notify_all();
+  STREAMSI_RETURN_NOT_OK(status);
   if (!sticky_status_.ok()) return sticky_status_;
   if (file_ != nullptr) STREAMSI_RETURN_NOT_OK(file_->Close());
   auto file = env_->NewWritableFile(path, /*truncate=*/true);

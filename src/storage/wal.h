@@ -124,6 +124,9 @@ class WalWriter {
   std::string writing_;   ///< batch the leader is writing (buffer reused)
   bool leader_active_ = false;
   bool sync_requested_ = false;  ///< pending batch contains a sync record
+  /// RotateTo is draining the queue: new appends wait for the new file, so
+  /// the drain cannot starve behind a steady stream of committers.
+  bool rotating_ = false;
   std::uint64_t accumulating_batch_ = 1;  ///< id of the pending batch
   std::uint64_t durable_batch_ = 0;       ///< highest batch synced
   Status sticky_status_;  ///< first IO error; poisons all later appends

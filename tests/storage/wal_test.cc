@@ -352,5 +352,33 @@ TEST_F(WalTest, RotateToDrainsConcurrentSyncAppenders) {
       << "a record was written to both segments";
 }
 
+TEST_F(WalTest, RotateToIsNotStarvedBySteadySyncAppenders) {
+  // Appenders that keep arriving must not keep a rotation draining: once
+  // RotateTo starts, new appends wait for the new segment, so the drain
+  // covers only the batches already queued (a few sync latencies).
+  WalWriter writer(SyncMode::kSimulated, 200);
+  ASSERT_TRUE(writer.Open(WalPath(), true).ok());
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        ASSERT_TRUE(writer.Append(WalRecordType::kPut, "x", true).ok());
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  for (int r = 1; r <= 5; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(writer.RotateTo(WalPath() + "." + std::to_string(r)).ok());
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(250))
+        << "rotation " << r << " starved behind the appenders";
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& thread : threads) thread.join();
+  ASSERT_TRUE(writer.Close().ok());
+}
+
 }  // namespace
 }  // namespace streamsi
