@@ -87,6 +87,36 @@ TEST(Crc32Test, KnownVectors) {
   EXPECT_EQ(Crc32c(""), 0u);
 }
 
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // The eight-bytes-per-step loop plus its byte tail must equal the plain
+  // bit-at-a-time definition for every split, alignment and seed.
+  const auto reference = [](const unsigned char* p, std::size_t n,
+                            std::uint32_t init) {
+    std::uint32_t crc = ~init;
+    for (std::size_t i = 0; i < n; ++i) {
+      crc ^= p[i];
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0);
+      }
+    }
+    return ~crc;
+  };
+  std::string data(160, '\0');
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>(i * 37 + 11);
+  }
+  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n + offset <= data.size(); ++n) {
+      for (const std::uint32_t init : {0u, 0xDEADBEEFu}) {
+        ASSERT_EQ(Crc32c(bytes + offset, n, init),
+                  reference(bytes + offset, n, init))
+            << "offset " << offset << " length " << n;
+      }
+    }
+  }
+}
+
 TEST(Crc32Test, MaskRoundTrip) {
   const std::uint32_t crc = Crc32c("some data");
   EXPECT_NE(MaskCrc(crc), crc);
