@@ -70,6 +70,8 @@ run_tsan() {
     core_degradation_test
     core_index_consistency_test
     core_isolation_test
+    core_protocols_test
+    core_read_rule_test
     core_si_protocol_test
     property_crash_torture_property_test
     property_replication_failover_property_test

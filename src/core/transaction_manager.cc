@@ -209,13 +209,7 @@ Status TransactionManager::DeriveIndexMutations(Transaction& txn) {
     // pre-image read could not see aborts this one — including a commit
     // whose timestamp predates BOT but which was still applying when the
     // pre-image was read.
-    Timestamp snapshot;
-    if (const auto cached = txn.CachedSnapshot(base)) {
-      snapshot = *cached;
-    } else {
-      snapshot = context_->PinReadCtsForState(txn.slot(), base);
-      txn.CacheSnapshot(base, snapshot);
-    }
+    const Timestamp snapshot = protocol_->SnapshotFor(txn, *base_store);
     for (const IndexBinding& binding : it->second) {
       if (!binding.extractor) {
         return Status::Unavailable(

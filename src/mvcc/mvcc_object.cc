@@ -119,27 +119,6 @@ MvccObject::ReadResult MvccObject::TryGetVisible(Timestamp read_ts,
   });
 }
 
-MvccObject::ReadResult MvccObject::TryGetLatestLive(std::string* value) const {
-  return ValidatedRead([&]() -> ReadResult {
-    const VersionArray& array = *array_.load(std::memory_order_acquire);
-    const int slot = FindLiveSlot(array);
-    if (slot < 0) return ReadResult::kMiss;
-    const Value* buffer =
-        array.slots[static_cast<std::size_t>(slot)].value.load(
-            std::memory_order_acquire);
-    if (buffer == nullptr) return ReadResult::kRetry;  // mid-install slot
-    CopyValue(buffer, value);
-    return ReadResult::kHit;
-  });
-}
-
-MvccObject::ReadResult MvccObject::TryLatestCts(Timestamp* cts) const {
-  return ValidatedRead([&]() -> ReadResult {
-    *cts = LatestCts();
-    return ReadResult::kHit;
-  });
-}
-
 // --------------------------------------------------------- latched reads ---
 
 bool MvccObject::GetVisible(Timestamp read_ts, std::string* value) const {
@@ -150,29 +129,6 @@ bool MvccObject::GetVisible(Timestamp read_ts, std::string* value) const {
                 std::memory_order_acquire),
             value);
   return true;
-}
-
-bool MvccObject::GetLatestLive(std::string* value) const {
-  const VersionArray& array = *array_.load(std::memory_order_acquire);
-  const int slot = FindLiveSlot(array);
-  if (slot < 0) return false;
-  CopyValue(array.slots[static_cast<std::size_t>(slot)].value.load(
-                std::memory_order_acquire),
-            value);
-  return true;
-}
-
-Timestamp MvccObject::LatestCts() const {
-  const VersionArray& array = *array_.load(std::memory_order_acquire);
-  Timestamp latest = kInitialTs;
-  for (int i = 0; i < array.capacity; ++i) {
-    if (used_.IsSet(i)) {
-      latest = std::max(latest,
-                        array.slots[static_cast<std::size_t>(i)].cts.load(
-                            std::memory_order_acquire));
-    }
-  }
-  return latest;
 }
 
 Timestamp MvccObject::LatestModification() const {

@@ -89,25 +89,12 @@ class MvccObject {
   /// (cts <= read_ts < dts).
   ReadResult TryGetVisible(Timestamp read_ts, std::string* value) const;
 
-  /// One optimistic attempt at the newest *live* version (dts == inf) —
-  /// the direct ReadLatest probe (no magic read_ts needed).
-  ReadResult TryGetLatestLive(std::string* value) const;
-
-  /// One optimistic attempt at LatestCts().
-  ReadResult TryLatestCts(Timestamp* cts) const;
-
   // --------------------------------------------------- latched read path ---
   // Stable reads: caller must exclude mutators (shared per-entry latch).
 
   /// Returns the version visible to a snapshot at `read_ts`
   /// (cts <= read_ts < dts). False if no visible version exists.
   bool GetVisible(Timestamp read_ts, std::string* value) const;
-
-  /// Newest live (non-deleted) version; false if none.
-  bool GetLatestLive(std::string* value) const;
-
-  /// CTS of the newest committed version (kInitialTs if none).
-  Timestamp LatestCts() const;
 
   /// Timestamp of the newest committed *modification* — the max over all
   /// creation timestamps and finite deletion timestamps. This is what the
@@ -319,9 +306,9 @@ inline std::string DebugDumpObject(const MvccObject& object) {
   std::string out;
   char buf[160];
   const auto headers = object.Headers();
-  std::snprintf(buf, sizeof(buf), "versions=%zu cap=%d latest_cts=%llu; ",
+  std::snprintf(buf, sizeof(buf), "versions=%zu cap=%d latest_mod=%llu; ",
                 headers.size(), object.capacity(),
-                (unsigned long long)object.LatestCts());
+                (unsigned long long)object.LatestModification());
   out += buf;
   std::string value;
   for (const VersionHeader& h : headers) {

@@ -4,15 +4,13 @@ namespace streamsi {
 
 Status BoccProtocol::Read(Transaction& txn, VersionedStore& store,
                           std::string_view key, std::string* value) {
-  if (const WriteSet* ws = txn.FindWriteSet(store.id()); ws != nullptr) {
-    if (const auto own = ws->Find(key); own.written) {
-      if (own.is_delete) return Status::NotFound("deleted by self");
-      value->assign(own.value.data(), own.value.size());
-      return Status::OK();
-    }
-  }
-  txn.RecordRead(store.id(), key);
-  return store.ReadLatest(key, value);
+  return ReadWithOverlay(
+      txn, store,
+      [&] {
+        txn.RecordRead(store.id(), key);
+        return SnapshotFor(txn, store);
+      },
+      key, value);
 }
 
 Status BoccProtocol::Write(Transaction& txn, VersionedStore& store,
@@ -31,33 +29,49 @@ Status BoccProtocol::Scan(
     Transaction& txn, VersionedStore& store,
     const std::function<bool(std::string_view, std::string_view)>& callback) {
   return ScanWithOverlay(
-      txn, store, kInfinityTs - 1,
+      txn, store, SnapshotFor(txn, store),
       [&](std::string_view key, std::string_view value) {
         txn.RecordRead(store.id(), key);
         return callback(key, value);
       });
 }
 
+namespace {
+
+bool HasWrites(const Transaction& txn) {
+  bool writes = false;
+  txn.ForEachWrittenState([&](StateId) { writes = true; });
+  return writes;
+}
+
+}  // namespace
+
 Status BoccProtocol::PreCommit(Transaction& txn) {
-  (void)txn;
-  commit_mutex_.lock();
+  // Read-only commits validate outside the critical section: their pins
+  // may be what a writer inside it waits on (a full version array), and a
+  // commit they miss has a cts above their snapshot, so they serialize
+  // before it.
+  if (HasWrites(txn)) commit_mutex_.lock();
   return Status::OK();
 }
 
 Status BoccProtocol::Validate(Transaction& txn, VersionedStore& store) {
   (void)store;  // validation is transaction-global; run it once
-  if (validated_marker_ == txn.id()) return Status::OK();
-  if (log_.HasConflict(txn.id(), txn.read_set())) {
+  const bool writes = HasWrites(txn);
+  if (writes && validated_marker_ == txn.id()) return Status::OK();
+  // Every read ran at one of the transaction's cached snapshots; judging
+  // the whole read set against the oldest is conservative and correct.
+  if (log_.HasConflict(txn.OldestCachedSnapshot(), txn.read_set())) {
     return Status::Aborted(
         "BOCC backward validation: read set overlaps a newer commit");
   }
-  validated_marker_ = txn.id();
+  if (writes) validated_marker_ = txn.id();
   return Status::OK();
 }
 
 void BoccProtocol::PostCommit(Transaction& txn, Timestamp commit_ts,
                               bool committed) {
-  (void)commit_ts;
+  if (!HasWrites(txn)) return;  // never entered the critical section
   if (committed) {
     std::unordered_set<std::string> write_keys;
     for (StateId state : txn.WrittenStates()) {
@@ -67,22 +81,15 @@ void BoccProtocol::PostCommit(Transaction& txn, Timestamp commit_ts,
         write_keys.insert(Transaction::NamespacedKey(state, entry.key));
       }
     }
-    if (!write_keys.empty()) {
-      // The log timestamp is drawn at the *end* of the write phase, not at
-      // apply time: backward validation must flag every transaction whose
-      // write phase overlapped a validating reader's read phase. A reader
-      // that began while this apply was in flight has BOT < this timestamp
-      // and is correctly aborted; stamping the (earlier) apply timestamp
-      // would let its torn reads pass validation.
-      log_.Append(context_->clock().Next(), std::move(write_keys));
-    }
+    log_.Append(commit_ts, std::move(write_keys));
   }
   validated_marker_ = 0;
   commit_mutex_.unlock();
 
   if (commits_since_prune_.fetch_add(1, std::memory_order_relaxed) % 256 ==
       255) {
-    log_.Prune(context_->OldestActiveBegin());
+    // No active or future snapshot lies below the GC watermark.
+    log_.Prune(context_->OldestActiveVersion());
   }
 }
 

@@ -1,11 +1,12 @@
 // BoccProtocol: backward-oriented optimistic concurrency control baseline
 // (§5, Härder 1984 [8]).
 //
-// Read phase: reads go to the latest committed versions and are recorded in
-// the transaction's read set; writes are buffered. Validation phase (inside
-// a global critical section, as classic OCC requires validate+write to be
-// atomic): the transaction aborts if any transaction that committed after
-// its BOT wrote a key it read. Write phase: install the write sets.
+// Read phase: reads go to the transaction's pinned snapshot (the cut SI
+// readers pin) and are recorded in its read set; writes are buffered.
+// Validation phase (for a writer inside a global critical section, as
+// classic OCC requires validate+write to be atomic): the transaction aborts
+// if a commit with a timestamp above its snapshot — one its reads could not
+// see — wrote a key it read. Write phase: install the write sets.
 //
 // Designed for scenarios with few conflicts — which is exactly why the
 // paper finds it ~5 % faster than MVCC at low contention with many readers
@@ -24,7 +25,8 @@ namespace streamsi {
 
 class BoccProtocol final : public ConcurrencyProtocol {
  public:
-  explicit BoccProtocol(StateContext* context) : context_(context) {}
+  explicit BoccProtocol(StateContext* context)
+      : ConcurrencyProtocol(context) {}
 
   ProtocolType type() const override { return ProtocolType::kBocc; }
 
@@ -46,9 +48,11 @@ class BoccProtocol final : public ConcurrencyProtocol {
   const CommittedTxnLog& committed_log() const { return log_; }
 
  private:
-  StateContext* context_;
   CommittedTxnLog log_;
-  std::mutex commit_mutex_;  // serializes validate+write (critical section)
+  /// Serializes validate+write for write commits. They draw the cts and
+  /// append the log record under it, so the log is in cts order and holds
+  /// every commit a validating writer's snapshot missed.
+  std::mutex commit_mutex_;
   /// Txn currently validated inside the critical section (guarded by
   /// commit_mutex_): Validate is called once per written state, but BOCC
   /// validation is transaction-global, so later calls become no-ops.

@@ -1,7 +1,9 @@
 // CommittedTxnLog: history of recently committed transactions' write sets,
 // used by the BOCC baseline for backward-oriented validation (Härder 1984,
 // the paper's reference [8]): a committing transaction T is valid iff no
-// transaction that committed between BOT(T) and now wrote a key T read.
+// transaction with a commit timestamp above T's snapshot — a commit T's
+// reads could not see, even one that drew its cts before BOT(T) — wrote a
+// key T read.
 
 #ifndef STREAMSI_TXN_COMMITTED_LOG_H_
 #define STREAMSI_TXN_COMMITTED_LOG_H_
@@ -30,13 +32,13 @@ class CommittedTxnLog {
     log_.push_back(Record{commit_ts, std::move(keys)});
   }
 
-  /// True if any transaction with commit_ts > `begin_ts` wrote a key in
+  /// True if any transaction with commit_ts > `snapshot` wrote a key in
   /// `read_set` (=> the validating transaction must abort).
-  bool HasConflict(Timestamp begin_ts,
+  bool HasConflict(Timestamp snapshot,
                    const std::unordered_set<std::string>& read_set) const {
     std::lock_guard<std::mutex> guard(mutex_);
     for (auto it = log_.rbegin(); it != log_.rend(); ++it) {
-      if (it->commit_ts <= begin_ts) break;  // log is commit-ordered
+      if (it->commit_ts <= snapshot) break;  // log is commit-ordered
       // Iterate over the smaller set.
       if (read_set.size() < it->write_keys.size()) {
         for (const auto& key : read_set) {
@@ -51,10 +53,10 @@ class CommittedTxnLog {
     return false;
   }
 
-  /// Drops records no active transaction can conflict with.
-  void Prune(Timestamp oldest_active_begin) {
+  /// Drops records no active or future snapshot lies below.
+  void Prune(Timestamp oldest_snapshot) {
     std::lock_guard<std::mutex> guard(mutex_);
-    while (!log_.empty() && log_.front().commit_ts <= oldest_active_begin) {
+    while (!log_.empty() && log_.front().commit_ts <= oldest_snapshot) {
       log_.pop_front();
     }
   }

@@ -11,6 +11,19 @@
 
 namespace streamsi {
 
+Timestamp ConcurrencyProtocol::SnapshotFor(Transaction& txn,
+                                           VersionedStore& store) {
+  // Cache the derived per-state snapshot in the transaction so the hot
+  // read path avoids the group registry.
+  if (auto cached = txn.CachedSnapshot(store.id()); cached.has_value()) {
+    return *cached;
+  }
+  const Timestamp snapshot =
+      context_->PinReadCtsForState(txn.slot(), store.id());
+  txn.CacheSnapshot(store.id(), snapshot);
+  return snapshot;
+}
+
 Status ConcurrencyProtocol::Apply(Transaction& txn, VersionedStore& store,
                                   Timestamp commit_ts, GcFloor& floor) {
   return ApplyWriteSet(txn, store, commit_ts, floor);

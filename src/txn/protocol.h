@@ -35,9 +35,14 @@ namespace streamsi {
 
 class ConcurrencyProtocol {
  public:
+  explicit ConcurrencyProtocol(StateContext* context) : context_(context) {}
   virtual ~ConcurrencyProtocol() = default;
 
   virtual ProtocolType type() const = 0;
+
+  /// The transaction's snapshot of `store`: the cached one, or pinned now
+  /// from the published, clamped cut (§4.2 pin-on-first-read) and cached.
+  Timestamp SnapshotFor(Transaction& txn, VersionedStore& store);
 
   /// Transactional point read (reads-own-writes included).
   virtual Status Read(Transaction& txn, VersionedStore& store,
@@ -128,10 +133,27 @@ class ConcurrencyProtocol {
 
  protected:
   /// Shared Apply implementation: installs the effective write set in
-  /// append order, persisting with one durable write at the end of the
-  /// batch (one fsync per state commit).
+  /// memory, in first-touch order. Durability is the commit record's job
+  /// (TransactionManager::GlobalCommit), not the store's.
   static Status ApplyWriteSet(Transaction& txn, VersionedStore& store,
                               Timestamp commit_ts, GcFloor& floor);
+
+  /// Shared point read: the transaction's own write of `key`, else the
+  /// committed version visible at `read_ts()` — resolved only on that path,
+  /// so a read served from the write set pins no snapshot (§4.2).
+  template <typename ReadTsFn>
+  static Status ReadWithOverlay(Transaction& txn, VersionedStore& store,
+                                ReadTsFn&& read_ts, std::string_view key,
+                                std::string* value) {
+    if (const WriteSet* ws = txn.FindWriteSet(store.id()); ws != nullptr) {
+      if (const auto own = ws->Find(key); own.written) {
+        if (own.is_delete) return Status::NotFound("deleted by self");
+        value->assign(own.value.data(), own.value.size());
+        return Status::OK();
+      }
+    }
+    return store.ReadCommitted(read_ts(), key, value);
+  }
 
   /// Shared scan: committed snapshot at `read_ts` overlaid with the
   /// transaction's own writes.
@@ -148,6 +170,8 @@ class ConcurrencyProtocol {
       std::string_view lo, std::string_view hi,
       const std::function<bool(std::string_view, std::string_view)>&
           callback);
+
+  StateContext* context_;
 };
 
 /// Instantiates a protocol bound to `context`.

@@ -2,6 +2,8 @@
 //
 // Readers take shared locks, writers exclusive locks, all held until the
 // transaction finishes (strictness). Deadlocks are avoided by wait-die.
+// Every value is read under its lock, at the newest version: a writer holds
+// its exclusive lock until it published (or purged after a failed commit).
 // Writes are still buffered in the write set and installed at commit — the
 // exclusive lock guarantees nobody observes intermediate states, and reusing
 // the shared commit pipeline keeps the multi-state consistency protocol
@@ -17,7 +19,8 @@ namespace streamsi {
 
 class S2plProtocol final : public ConcurrencyProtocol {
  public:
-  explicit S2plProtocol(StateContext* context) : context_(context) {}
+  explicit S2plProtocol(StateContext* context)
+      : ConcurrencyProtocol(context) {}
 
   ProtocolType type() const override { return ProtocolType::kS2pl; }
 
@@ -42,7 +45,6 @@ class S2plProtocol final : public ConcurrencyProtocol {
   LockManager& lock_manager() { return locks_; }
 
  private:
-  StateContext* context_;
   LockManager locks_;
 };
 

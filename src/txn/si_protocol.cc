@@ -8,34 +8,47 @@
 
 namespace streamsi {
 
-Timestamp SiProtocol::SnapshotFor(Transaction& txn, VersionedStore& store) {
-  // Pins are immutable once set; cache the derived per-state snapshot in
-  // the transaction so the hot read path avoids the group registry.
-  if (auto cached = txn.CachedSnapshot(store.id()); cached.has_value()) {
-    return *cached;
+namespace {
+
+/// Marks a read-committed scan as running for its lifetime (see ReadTs).
+class ReadCommittedScan {
+ public:
+  explicit ReadCommittedScan(Transaction& txn)
+      : txn_(txn.isolation() == IsolationLevel::kReadCommitted ? &txn
+                                                               : nullptr) {
+    if (txn_ != nullptr) txn_->BeginReadCommittedScan();
   }
-  const Timestamp snapshot =
-      context_->PinReadCtsForState(txn.slot(), store.id());
-  txn.CacheSnapshot(store.id(), snapshot);
-  return snapshot;
+  ~ReadCommittedScan() {
+    if (txn_ != nullptr) txn_->EndReadCommittedScan();
+  }
+  ReadCommittedScan(const ReadCommittedScan&) = delete;
+  ReadCommittedScan& operator=(const ReadCommittedScan&) = delete;
+
+ private:
+  Transaction* txn_;
+};
+
+}  // namespace
+
+Timestamp SiProtocol::ReadTs(Transaction& txn, VersionedStore& store) {
+  if (txn.isolation() == IsolationLevel::kSnapshot) {
+    return SnapshotFor(txn, store);
+  }
+  // Read committed (§3): each read runs at a fresh published cut, pinned
+  // like any snapshot (GC may reclaim what an unpinned cut sees). Cached
+  // snapshots fall below the raised pins and go; nothing is cached, so FCW
+  // keeps its BOT threshold. A read inside a running scan keeps its cut.
+  if (!txn.InReadCommittedScan()) {
+    txn.DropCachedSnapshots();
+    context_->RefreshReadCts(txn.slot());
+  }
+  return context_->PinReadCtsForState(txn.slot(), store.id());
 }
 
 Status SiProtocol::Read(Transaction& txn, VersionedStore& store,
                         std::string_view key, std::string* value) {
-  // §4.2: "The read operation starts by checking whether the accessing
-  // transaction has already written a new value (Uncommitted Write Set)."
-  if (const WriteSet* ws = txn.FindWriteSet(store.id()); ws != nullptr) {
-    if (const auto own = ws->Find(key); own.written) {
-      if (own.is_delete) return Status::NotFound("deleted by self");
-      value->assign(own.value.data(), own.value.size());
-      return Status::OK();
-    }
-  }
-  if (txn.isolation() == IsolationLevel::kReadCommitted) {
-    // Weaker visibility on request (§3): newest committed version, no pin.
-    return store.ReadLatest(key, value);
-  }
-  return store.ReadCommitted(SnapshotFor(txn, store), key, value);
+  return ReadWithOverlay(
+      txn, store, [&] { return ReadTs(txn, store); }, key, value);
 }
 
 Status SiProtocol::Write(Transaction& txn, VersionedStore& store,
@@ -53,9 +66,8 @@ Status SiProtocol::Delete(Transaction& txn, VersionedStore& store,
 Status SiProtocol::Scan(
     Transaction& txn, VersionedStore& store,
     const std::function<bool(std::string_view, std::string_view)>& callback) {
-  const Timestamp read_ts = txn.isolation() == IsolationLevel::kReadCommitted
-                                ? kInfinityTs - 1
-                                : SnapshotFor(txn, store);
+  const Timestamp read_ts = ReadTs(txn, store);
+  const ReadCommittedScan running(txn);
   return ScanWithOverlay(txn, store, read_ts, callback);
 }
 
@@ -67,9 +79,8 @@ Status SiProtocol::ScanRange(
   // [lo, hi) is judged against the same pinned ReadCTS, so an insert
   // committed after the pin is invisible no matter when it lands relative
   // to the traversal.
-  const Timestamp read_ts = txn.isolation() == IsolationLevel::kReadCommitted
-                                ? kInfinityTs - 1
-                                : SnapshotFor(txn, store);
+  const Timestamp read_ts = ReadTs(txn, store);
+  const ReadCommittedScan running(txn);
   return ScanRangeWithOverlay(txn, store, read_ts, lo, hi, callback);
 }
 

@@ -3,13 +3,14 @@
 //  * Read: own write set first, then the newest version visible at the
 //    transaction's pinned ReadCTS (first read pins the group's LastCTS,
 //    later reads reuse it — every operation reads from the same snapshot).
+//    At read committed every read raises the pins to a fresh published cut
+//    instead.
 //  * Write: append to the dirty array; writes never block.
 //  * Commit: per key, claim commit ownership (the "additional write locks"
 //    for multiple writers), check First-Committer-Wins (a committed version
 //    newer than the older of the transaction's BOT timestamp and its
-//    snapshot of the state forces an abort), apply in memory, persist
-//    through to the base table, and finally advance the group's commit
-//    timestamp.
+//    snapshot of the state forces an abort), apply in memory, log the
+//    commit record, and finally advance the group's commit timestamp.
 //  * Abort: drop the write set; committed data was never touched, so no
 //    undo is needed.
 
@@ -22,7 +23,7 @@ namespace streamsi {
 
 class SiProtocol final : public ConcurrencyProtocol {
  public:
-  explicit SiProtocol(StateContext* context) : context_(context) {}
+  explicit SiProtocol(StateContext* context) : ConcurrencyProtocol(context) {}
 
   ProtocolType type() const override { return ProtocolType::kMvcc; }
 
@@ -53,8 +54,9 @@ class SiProtocol final : public ConcurrencyProtocol {
   bool batched_validation() const { return batched_validation_; }
 
  private:
-  /// The transaction's snapshot for this store (pin-on-first-read, §4.2).
-  Timestamp SnapshotFor(Transaction& txn, VersionedStore& store);
+  /// The timestamp the next read of `store` runs at: the snapshot, or at
+  /// read committed a fresh cut.
+  Timestamp ReadTs(Transaction& txn, VersionedStore& store);
 
   /// Both validate `ws` under First-Committer-Wins: a committed
   /// modification newer than `newer_than` aborts the transaction.
@@ -63,7 +65,6 @@ class SiProtocol final : public ConcurrencyProtocol {
   Status ValidatePerKey(Transaction& txn, VersionedStore& store,
                         const WriteSet& ws, Timestamp newer_than);
 
-  StateContext* context_;
   bool batched_validation_ = true;
 };
 

@@ -326,7 +326,7 @@ bool StateContext::AnyStateAborted(int slot) const {
   return false;
 }
 
-void StateContext::SweepAndPin(int slot) {
+void StateContext::SweepAndPin(int slot, bool raise) {
   TxnSlot& s = slots_[static_cast<std::size_t>(slot)];
   for (;;) {
     // One seqlock-consistent cut of every group's LastCTS: a commit that is
@@ -369,14 +369,17 @@ void StateContext::SweepAndPin(int slot) {
     std::size_t first_added = s.read_cts.size();
     for (const auto& [gid, ts] : cut) {
       bool present = false;
-      for (const auto& [existing, pin] : s.read_cts) {
+      for (auto& [existing, pin] : s.read_cts) {
         if (existing == gid) {
           present = true;
+          // Raised in place, the pin never disappears or falls: every
+          // collector scan sees a value at or below it, so no floor check.
+          if (raise && ts > pin) pin = ts;
           break;
         }
       }
-      // First pin wins: never overwrite pins of an earlier (validated)
-      // sweep — only append the missing ones.
+      // First pin wins: without `raise`, never overwrite pins of an
+      // earlier (validated) sweep — only append the missing ones.
       if (!present) s.read_cts.emplace_back(gid, ts);
     }
     // Close the pin/GC race: a collector that computed its watermark before
@@ -407,6 +410,10 @@ void StateContext::SweepAndPin(int slot) {
   }
 }
 
+void StateContext::RefreshReadCts(int slot) {
+  SweepAndPin(slot, /*raise=*/true);
+}
+
 Timestamp StateContext::PinReadCts(int slot, GroupId group) {
   TxnSlot& s = slots_[static_cast<std::size_t>(slot)];
   {
@@ -417,7 +424,7 @@ Timestamp StateContext::PinReadCts(int slot, GroupId group) {
   }
   // First grouped access of this transaction: pin every group from one
   // consistent cut, then return ours.
-  SweepAndPin(slot);
+  SweepAndPin(slot, /*raise=*/false);
   std::lock_guard<SpinLock> guard(s.lock);
   for (const auto& [gid, ts] : s.read_cts) {
     if (gid == group) return ts;
@@ -461,11 +468,12 @@ Timestamp StateContext::PinReadCtsForState(int slot, StateId state) {
   SmallVec<GroupId, kInlineGroups> groups;
   CollectGroupsOf(state, &groups);
   if (groups.empty()) {
-    // State outside any topology group: snapshot = now (auto-pinned to the
-    // newest committed data at first touch). Pin via a synthetic group-less
-    // path: use the clock. Single-state reads remain consistent because the
-    // caller caches the result per transaction.
-    return clock_.Now();
+    // State outside any topology group: snapshot = now, clamped below the
+    // commits still in flight (scanned AFTER the clock read, as for pins).
+    // Single-state reads remain consistent because the caller caches the
+    // result per transaction.
+    const Timestamp now = clock_.Now();
+    return std::min(now, SafePublicationTs());
   }
   // §4.3 overlap rule: "If there is an overlap when reading multiple
   // topologies with different versions (LastCTS), the older version must be
@@ -576,18 +584,6 @@ Timestamp StateContext::OldestActiveVersionFor(StateId state) const {
   std::atomic_thread_fence(std::memory_order_seq_cst);
   oldest = std::min(oldest, OldestPinnedCts(groups.data(), groups.size(),
                                             /*any_group=*/false));
-  return oldest;
-}
-
-Timestamp StateContext::OldestActiveBegin() const {
-  Timestamp oldest = clock_.Now();
-  for (int i = 0; i < kMaxActiveTxns; ++i) {
-    if (!active_mask_.IsSet(i)) continue;
-    const TxnId id =
-        slots_[static_cast<std::size_t>(i)].txn_id.load(
-            std::memory_order_acquire);
-    if (id != 0) oldest = std::min(oldest, id);
-  }
   return oldest;
 }
 

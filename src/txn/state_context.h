@@ -225,6 +225,11 @@ class StateContext {
   /// across all (pinned) groups containing it; unpinned groups get pinned
   /// on first touch.
   Timestamp PinReadCtsForState(int slot, StateId state);
+  /// Read committed: raises the transaction's pins to one fresh published,
+  /// clamped cut (pinning untouched groups too). Pins only rise, so the
+  /// pin/GC-floor handshake still holds — but a read still running at an
+  /// older pin loses its protection: never refresh under a running read.
+  void RefreshReadCts(int slot);
 
   /// BOT timestamp of the transaction in `slot`.
   TxnId TxnIdOf(int slot) const;
@@ -241,11 +246,6 @@ class StateContext {
   /// containing it and the pins active transactions hold on those groups.
   /// (A never-committing group elsewhere must not pin this state's GC.)
   Timestamp OldestActiveVersionFor(StateId state) const;
-
-  /// Smallest BOT timestamp among active transactions (clock.Now() when
-  /// idle). This bounds BOCC's backward-validation window (committed-log
-  /// records at or before it can be pruned).
-  Timestamp OldestActiveBegin() const;
 
   /// Number of currently active transactions.
   int ActiveTransactionCount() const { return active_mask_.Count(); }
@@ -287,8 +287,9 @@ class StateContext {
   /// once is what makes the §4.3 min() overlap rule sound — pins taken at
   /// different moments (as states are first touched) can straddle
   /// publications and yield different effective snapshots for states that
-  /// share only some groups.
-  void SweepAndPin(int slot);
+  /// share only some groups. With `raise`, existing pins are raised to
+  /// the cut (RefreshReadCts) instead of kept.
+  void SweepAndPin(int slot, bool raise);
 
   LogicalClock clock_;
 

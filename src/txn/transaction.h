@@ -20,6 +20,7 @@
 #ifndef STREAMSI_TXN_TRANSACTION_H_
 #define STREAMSI_TXN_TRANSACTION_H_
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <optional>
@@ -245,9 +246,8 @@ class Transaction {
     locks.resize(keep);
   }
 
-  /// Per-state snapshot cache for the SI read path: the pinned snapshot of
-  /// a state never changes within a transaction, so protocols cache it here
-  /// instead of re-deriving it from the groups on every read.
+  /// Per-state snapshot cache for the read path: protocols cache the pinned
+  /// snapshot here instead of re-deriving it from the groups on every read.
   std::optional<Timestamp> CachedSnapshot(StateId state) const {
     std::lock_guard<SpinLock> guard(lock_);
     for (const auto& [sid, ts] : scratch_->snapshot_cache) {
@@ -264,6 +264,32 @@ class Transaction {
     }
     scratch_->snapshot_cache.emplace_back(state, ts);
   }
+
+  /// Forgets every cached snapshot: a read-committed read raised the pins
+  /// past them, so they are no longer protected from the collector.
+  void DropCachedSnapshots() {
+    std::lock_guard<SpinLock> guard(lock_);
+    scratch_->snapshot_cache.clear();
+  }
+
+  /// Smallest cached snapshot (kInfinityTs when none): every read this
+  /// transaction made through a cached snapshot was at or above it.
+  Timestamp OldestCachedSnapshot() const {
+    std::lock_guard<SpinLock> guard(lock_);
+    Timestamp oldest = kInfinityTs;
+    for (const auto& [sid, ts] : scratch_->snapshot_cache) {
+      (void)sid;
+      oldest = std::min(oldest, ts);
+    }
+    return oldest;
+  }
+
+  /// Read-committed scans running on this transaction. A read issued from
+  /// a scan's callback keeps the scan's cut: raising the pins under the
+  /// scan would let the collector reclaim versions it has yet to visit.
+  bool InReadCommittedScan() const { return rc_scans_.load() > 0; }
+  void BeginReadCommittedScan() { rc_scans_.fetch_add(1); }
+  void EndReadCommittedScan() { rc_scans_.fetch_sub(1); }
 
   /// §4.3: "The operator that sets the last status flag to Commit becomes
   /// the coordinator and is responsible for the global commit." Exactly one
@@ -295,6 +321,7 @@ class Transaction {
   std::atomic<TxnPhase> phase_{TxnPhase::kRunning};
   std::atomic<IsolationLevel> isolation_{IsolationLevel::kSnapshot};
   std::atomic<bool> coordinator_claimed_{false};
+  std::atomic<int> rc_scans_{0};
 
   mutable SpinLock lock_;
   TxnScratch* scratch_;

@@ -243,36 +243,6 @@ Status VersionedStore::ReadCommitted(Timestamp read_ts, std::string_view key,
   return Status::NotFound();
 }
 
-Status VersionedStore::ReadLatest(std::string_view key,
-                                  std::string* value) const {
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  EpochGuard epoch_guard;
-  const Entry* entry = FindEntry(key, HashKey(key));
-  if (entry != nullptr &&
-      ReadOptimistic(
-          entry, [&] { return entry->object.TryGetLatestLive(value); },
-          [&] { return entry->object.GetLatestLive(value); }) ==
-          MvccObject::ReadResult::kHit) {
-    return Status::OK();
-  }
-  stats_.read_misses.fetch_add(1, std::memory_order_relaxed);
-  return Status::NotFound();
-}
-
-Timestamp VersionedStore::LatestCts(std::string_view key) const {
-  EpochGuard epoch_guard;
-  const Entry* entry = FindEntry(key, HashKey(key));
-  if (entry == nullptr) return kInitialTs;
-  Timestamp cts = kInitialTs;
-  ReadOptimistic(
-      entry, [&] { return entry->object.TryLatestCts(&cts); },
-      [&] {
-        cts = entry->object.LatestCts();
-        return true;
-      });
-  return cts;
-}
-
 Timestamp VersionedStore::LatestModification(std::string_view key) const {
   EpochGuard epoch_guard;
   const Entry* entry = FindEntry(key, HashKey(key));

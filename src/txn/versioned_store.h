@@ -106,13 +106,6 @@ class VersionedStore {
   Status ReadCommitted(Timestamp read_ts, std::string_view key,
                        std::string* value) const;
 
-  /// Latest committed live version (S2PL/BOCC read path): a direct probe
-  /// for the newest live version, no snapshot timestamp involved.
-  Status ReadLatest(std::string_view key, std::string* value) const;
-
-  /// CTS of the newest committed version of `key` (kInitialTs if none).
-  Timestamp LatestCts(std::string_view key) const;
-
   /// Newest committed modification of `key`, deletes included (the
   /// First-Committer-Wins comparison point).
   Timestamp LatestModification(std::string_view key) const;

@@ -308,10 +308,10 @@ TEST(CommitPathTest, FailedCommitPurgeIsScopedToOwnKeys) {
   EXPECT_EQ(store.PurgeKeyVersionsAfter("own", 6), 1u);
 
   std::string value;
-  ASSERT_TRUE(store.ReadLatest("own", &value).ok());
+  ASSERT_TRUE(store.ReadCommitted(kInfinityTs - 1, "own", &value).ok());
   EXPECT_EQ(value, "pre");  // our install rolled back, predecessor revived
   EXPECT_EQ(store.LatestModification("own"), 5u);  // FCW watermark too
-  ASSERT_TRUE(store.ReadLatest("other", &value).ok());
+  ASSERT_TRUE(store.ReadCommitted(kInfinityTs - 1, "other", &value).ok());
   EXPECT_EQ(value, "theirs");  // the concurrent commit is untouched
   EXPECT_EQ(store.LatestModification("other"), 10u);
 }

@@ -171,7 +171,7 @@ TEST_F(RecoveryTest, GrownVersionArraySurvivesRestart) {
   const Timestamp mid = commit_cts[9];
   EXPECT_EQ(store->PurgeVersionsAfter(mid),
             static_cast<std::uint64_t>(kOverwrites - 10));
-  ASSERT_TRUE(store->ReadLatest("hot", &value).ok());
+  ASSERT_TRUE(store->ReadCommitted(kInfinityTs - 1, "hot", &value).ok());
   EXPECT_EQ(value, "v9");  // reopened as the live version
 }
 

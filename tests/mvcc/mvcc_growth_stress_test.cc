@@ -1,7 +1,8 @@
 // TSan stress for adaptive version-array growth: optimistic seqlock readers
-// (TryGetVisible / TryGetLatestLive) race an installer that repeatedly fills
-// and grows one hot key's slot array (2 -> 64) while the background epoch
-// reclaimer frees the superseded arrays and replaced value buffers. The
+// (TryGetVisible at snapshots and at the newest timestamp) race an installer
+// that repeatedly fills and grows one hot key's slot array (2 -> 64) while
+// the background epoch reclaimer frees the superseded arrays and replaced
+// value buffers. The
 // assertions pin the seqlock contract — a validated read is never torn: the
 // returned value always matches the version header it was published with —
 // and the EpochManager contract: no reader ever touches freed memory (which
@@ -75,7 +76,7 @@ TEST(MvccGrowthStressTest, OptimisticReadersVsGrowthAndEpochReclaim) {
               return;
             }
           }
-          if (object.TryGetLatestLive(&value) ==
+          if (object.TryGetVisible(kInfinityTs - 1, &value) ==
               MvccObject::ReadResult::kHit &&
               CtsOf(value) % kStride != 0) {
             errors[static_cast<std::size_t>(r)] =

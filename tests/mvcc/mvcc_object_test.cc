@@ -11,7 +11,7 @@ TEST(MvccObjectTest, EmptyHasNoVisibleVersion) {
   MvccObject object(4);
   std::string value;
   EXPECT_FALSE(object.GetVisible(100, &value));
-  EXPECT_EQ(object.LatestCts(), kInitialTs);
+  EXPECT_EQ(object.LatestModification(), kInitialTs);
   EXPECT_FALSE(object.HasLiveVersion());
 }
 
@@ -36,7 +36,7 @@ TEST(MvccObjectTest, NewVersionShadowsOldForNewReaders) {
   EXPECT_EQ(value, "v1");
   ASSERT_TRUE(object.GetVisible(20, &value));
   EXPECT_EQ(value, "v2");
-  EXPECT_EQ(object.LatestCts(), 20u);
+  EXPECT_EQ(object.LatestModification(), 20u);
   EXPECT_EQ(object.VersionCount(), 2);
 }
 
@@ -197,7 +197,7 @@ TEST(MvccObjectTest, PurgeAfterRemovesUncommittedTail) {
   ASSERT_TRUE(object.GetVisible(100, &value));
   EXPECT_EQ(value, "v1");  // v1 is live again (dts reopened)
   EXPECT_TRUE(object.HasLiveVersion());
-  EXPECT_EQ(object.LatestCts(), 10u);
+  EXPECT_EQ(object.LatestModification(), 10u);
 }
 
 TEST(MvccObjectTest, PurgeAfterReopensDeletedVersion) {
@@ -225,7 +225,7 @@ TEST(MvccObjectTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(value, "first");
   ASSERT_TRUE(decoded->GetVisible(9, &value));
   EXPECT_EQ(value, "second");
-  EXPECT_EQ(decoded->LatestCts(), 9u);
+  EXPECT_EQ(decoded->LatestModification(), 9u);
   EXPECT_EQ(decoded->VersionCount(), 2);
 }
 
@@ -320,17 +320,16 @@ TEST(MvccObjectTest, OptimisticReadsAgreeWithLatchedReads) {
   EXPECT_EQ(object.TryGetVisible(35, &value), MvccObject::ReadResult::kMiss);
   EXPECT_EQ(object.TryGetVisible(5, &value), MvccObject::ReadResult::kMiss);
 
-  // Deleted: no live version for the direct probe.
-  EXPECT_EQ(object.TryGetLatestLive(&value), MvccObject::ReadResult::kMiss);
-  EXPECT_FALSE(object.GetLatestLive(&value));
-
-  Timestamp cts = 0;
-  EXPECT_EQ(object.TryLatestCts(&cts), MvccObject::ReadResult::kHit);
-  EXPECT_EQ(cts, object.LatestCts());
-  EXPECT_EQ(cts, 20u);
+  // Deleted: no version is visible at the newest timestamp.
+  EXPECT_EQ(object.TryGetVisible(kInfinityTs - 1, &value),
+            MvccObject::ReadResult::kMiss);
+  EXPECT_FALSE(object.GetVisible(kInfinityTs - 1, &value));
 
   ASSERT_TRUE(object.Install("c", 40, 0).ok());
-  EXPECT_EQ(object.TryGetLatestLive(&value), MvccObject::ReadResult::kHit);
+  EXPECT_EQ(object.TryGetVisible(kInfinityTs - 1, &value),
+            MvccObject::ReadResult::kHit);
+  EXPECT_EQ(value, "c");
+  ASSERT_TRUE(object.GetVisible(kInfinityTs - 1, &value));
   EXPECT_EQ(value, "c");
 }
 

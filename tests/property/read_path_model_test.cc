@@ -205,9 +205,11 @@ TEST(ReadPathModelTest, RandomizedOpsAgreeWithModel) {
             << " read_ts=" << read_ts << " got=" << value;
       }
 
-      // ReadLatest must agree with the model's live version.
+      // A read at the newest timestamp must agree with the model's live
+      // version.
       std::string latest;
-      const Status latest_status = store.ReadLatest(probe, &latest);
+      const Status latest_status =
+          store.ReadCommitted(kInfinityTs - 1, probe, &latest);
       const auto expected_latest = model.LatestLive(probe);
       if (expected_latest.has_value()) {
         ASSERT_TRUE(latest_status.ok()) << "lost live version of " << probe;
@@ -217,7 +219,16 @@ TEST(ReadPathModelTest, RandomizedOpsAgreeWithModel) {
             << "phantom live version of " << probe << ": " << latest;
       }
 
-      ASSERT_EQ(store.LatestCts(probe), model.LatestCts(probe));
+      // The newest version the store holds is the model's newest.
+      const Timestamp newest = model.LatestCts(probe);
+      if (newest != kInitialTs) {
+        std::string at_newest;
+        ASSERT_TRUE(store.ReadCommitted(newest, probe, &at_newest).ok())
+            << "lost the newest version of " << probe;
+        const auto expected_newest = model.VisibleAt(probe, newest);
+        ASSERT_TRUE(expected_newest.has_value());
+        ASSERT_EQ(at_newest, *expected_newest);
+      }
     }
   }
 
@@ -265,13 +276,14 @@ TEST(ReadPathModelTest, OptimisticAndLatchedReadsAgreeAfterReload) {
   EXPECT_EQ(value, "1");
   ASSERT_TRUE(reloaded.ReadCommitted(25, "a", &value).ok());
   EXPECT_EQ(value, "2");
-  ASSERT_TRUE(reloaded.ReadLatest("a", &value).ok());
+  ASSERT_TRUE(reloaded.ReadCommitted(kInfinityTs - 1, "a", &value).ok());
   EXPECT_EQ(value, "2");
   ASSERT_TRUE(reloaded.ReadCommitted(35, "b", &value).ok());
   EXPECT_EQ(value, "3");
-  EXPECT_TRUE(reloaded.ReadLatest("b", &value).IsNotFound());
+  EXPECT_TRUE(
+      reloaded.ReadCommitted(kInfinityTs - 1, "b", &value).IsNotFound());
   EXPECT_TRUE(reloaded.ReadCommitted(45, "b", &value).IsNotFound());
-  EXPECT_EQ(reloaded.LatestCts("a"), 20u);
+  EXPECT_EQ(reloaded.LatestModification("a"), 20u);
   EXPECT_EQ(reloaded.LatestModification("b"), 40u);
 }
 

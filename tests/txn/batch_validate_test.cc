@@ -148,7 +148,8 @@ TEST(LockForCommitBatchTest, EntriesCreatedPastConflictAreInvisible) {
   store->UnlockCommit(requests[0].handle, 50);
 
   std::string value;
-  EXPECT_TRUE(store->ReadLatest("ghost", &value).IsNotFound());
+  EXPECT_TRUE(
+      store->ReadCommitted(kInfinityTs - 1, "ghost", &value).IsNotFound());
   EXPECT_TRUE(store->ReadCommitted(1000, "ghost", &value).IsNotFound());
   std::size_t scanned = 0;
   ASSERT_TRUE(store

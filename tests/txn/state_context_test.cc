@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "core/streamsi.h"
+#include "txn/bocc_protocol.h"
 
 namespace streamsi {
 namespace {
@@ -252,19 +256,39 @@ TEST(StateContextTest, OldestActiveVersionTracksMinimum) {
   EXPECT_EQ(ctx.OldestActiveVersion(), 50u);
 }
 
-TEST(StateContextTest, OldestActiveBeginTracksBotTimestamps) {
-  StateContext ctx;
-  EXPECT_EQ(ctx.OldestActiveBegin(), ctx.clock().Now());
-  TxnId id1;
-  auto slot1 = ctx.BeginTransaction(&id1);
-  ASSERT_TRUE(slot1.ok());
-  TxnId id2;
-  auto slot2 = ctx.BeginTransaction(&id2);
-  ASSERT_TRUE(slot2.ok());
-  EXPECT_EQ(ctx.OldestActiveBegin(), id1);
-  ctx.EndTransaction(*slot1);
-  EXPECT_EQ(ctx.OldestActiveBegin(), id2);
-  ctx.EndTransaction(*slot2);
+TEST(StateContextTest, OldestActiveVersionBoundsTheBoccLogPrune) {
+  // BOCC prunes its validation log at OldestActiveVersion(): a record
+  // survives while some active snapshot lies below its commit timestamp,
+  // and goes once no snapshot can miss it.
+  DatabaseOptions options;
+  options.protocol = ProtocolType::kBocc;
+  auto db = Database::Open(options);
+  ASSERT_TRUE(db.ok());
+  auto state = (*db)->CreateState("s");
+  ASSERT_TRUE(state.ok());
+  const StateId sid = (*state)->id();
+  TransactionManager& tm = (*db)->txn_manager();
+  const CommittedTxnLog& log =
+      static_cast<BoccProtocol&>((*db)->protocol()).committed_log();
+  const auto commit = [&](const std::string& key) {
+    auto t = (*db)->Begin();
+    ASSERT_TRUE(tm.Write((*t)->txn(), sid, key, "v").ok());
+    ASSERT_TRUE((*t)->Commit().ok());
+  };
+  commit("k");
+
+  auto reader = (*db)->Begin();  // pins a snapshot below every later commit
+  std::string value;
+  ASSERT_TRUE(tm.Read((*reader)->txn(), sid, "k", &value).ok());
+  commit("k");
+  constexpr std::size_t kCommits = 300;  // past one prune (every 256)
+  for (std::size_t i = 1; i < kCommits; ++i) commit("w" + std::to_string(i));
+  EXPECT_GE(log.size(), kCommits) << "pruned a record above a live snapshot";
+  ASSERT_TRUE(tm.Write((*reader)->txn(), sid, "other", "x").ok());
+  EXPECT_TRUE((*reader)->Commit().IsAborted());
+
+  for (std::size_t i = 0; i < 256; ++i) commit("z" + std::to_string(i));
+  EXPECT_LT(log.size(), 256u) << "records below every snapshot survived";
 }
 
 TEST(StateContextTest, ConcurrentMultiGroupPublishesNeverTearReaderCuts) {

@@ -64,8 +64,8 @@ TEST(VersionedStoreTest, ReadMissingKeyIsNotFound) {
   auto store = MakeStore();
   std::string value;
   EXPECT_TRUE(store->ReadCommitted(100, "k", &value).IsNotFound());
-  EXPECT_TRUE(store->ReadLatest("k", &value).IsNotFound());
-  EXPECT_EQ(store->LatestCts("k"), kInitialTs);
+  EXPECT_TRUE(store->ReadCommitted(kInfinityTs - 1, "k", &value).IsNotFound());
+  EXPECT_EQ(store->LatestModification("k"), kInitialTs);
 }
 
 TEST(VersionedStoreTest, ApplyThenReadAtSnapshot) {
@@ -77,9 +77,9 @@ TEST(VersionedStoreTest, ApplyThenReadAtSnapshot) {
   EXPECT_EQ(value, "v1");
   ASSERT_TRUE(store->ReadCommitted(20, "k", &value).ok());
   EXPECT_EQ(value, "v2");
-  ASSERT_TRUE(store->ReadLatest("k", &value).ok());
+  ASSERT_TRUE(store->ReadCommitted(kInfinityTs - 1, "k", &value).ok());
   EXPECT_EQ(value, "v2");
-  EXPECT_EQ(store->LatestCts("k"), 20u);
+  EXPECT_EQ(store->LatestModification("k"), 20u);
 }
 
 TEST(VersionedStoreTest, DeleteOfMissingKeyIsNoop) {
@@ -215,9 +215,9 @@ TEST(VersionedStoreTest, PurgeVersionsAfterWatermark) {
   ASSERT_TRUE(store->ApplyCommitted("b", "lost", false, 30, 0).ok());
   EXPECT_EQ(store->PurgeVersionsAfter(20), 2u);
   std::string value;
-  ASSERT_TRUE(store->ReadLatest("a", &value).ok());
+  ASSERT_TRUE(store->ReadCommitted(kInfinityTs - 1, "a", &value).ok());
   EXPECT_EQ(value, "ok");
-  EXPECT_TRUE(store->ReadLatest("b", &value).IsNotFound());
+  EXPECT_TRUE(store->ReadCommitted(kInfinityTs - 1, "b", &value).IsNotFound());
   EXPECT_EQ(store->MaxCommittedCts(), 10u);
 }
 
@@ -287,7 +287,7 @@ TEST(VersionedStoreTest, BackpressureWaitsForRefreshableFloorToAdvance) {
   EXPECT_GE(ctx.computes.load(), 2);  // initial resolve + >=1 re-resolution
   EXPECT_EQ(store->stats().version_wait_stalls.load(), 1u);
   std::string value;
-  ASSERT_TRUE(store->ReadLatest("k", &value).ok());
+  ASSERT_TRUE(store->ReadCommitted(kInfinityTs - 1, "k", &value).ok());
   EXPECT_EQ(value, "v3");
 }
 
@@ -315,7 +315,7 @@ TEST(VersionedStoreTest, BackpressureGivesUpAfterBoundedWait) {
   EXPECT_EQ(store->stats().version_wait_stalls.load(), 1u);
   // The stall left the key intact.
   std::string value;
-  ASSERT_TRUE(store->ReadLatest("k", &value).ok());
+  ASSERT_TRUE(store->ReadCommitted(kInfinityTs - 1, "k", &value).ok());
   EXPECT_EQ(value, "v2");
 }
 
@@ -332,7 +332,7 @@ TEST(VersionedStoreTest, GarbageCollectAllReclaims) {
   // All snapshots up to 30 are released.
   EXPECT_EQ(store->GarbageCollectAll(30), 2u);
   std::string value;
-  ASSERT_TRUE(store->ReadLatest("k", &value).ok());
+  ASSERT_TRUE(store->ReadCommitted(kInfinityTs - 1, "k", &value).ok());
   EXPECT_EQ(value, "v3");
 }
 
@@ -358,7 +358,7 @@ TEST(VersionedStoreTest, LoadFromBackendRebuildsStore) {
   VersionedStore reloaded(0, "s", std::move(backend2), options);
   ASSERT_TRUE(reloaded.LoadFromBackend().ok());
   std::string value;
-  ASSERT_TRUE(reloaded.ReadLatest("x", &value).ok());
+  ASSERT_TRUE(reloaded.ReadCommitted(kInfinityTs - 1, "x", &value).ok());
   EXPECT_EQ(value, "1");
   EXPECT_EQ(reloaded.KeyCount(), 2u);
   EXPECT_EQ(reloaded.MaxCommittedCts(), 7u);
@@ -381,10 +381,10 @@ TEST(VersionedStoreTest, WarmReloadReplacesEntriesAndMaintenanceSeesOnlyThem) {
   // The superseded entry (cts=100) is unreachable: reads and maintenance
   // must only see the recovered state.
   std::string value;
-  ASSERT_TRUE(store.ReadLatest("k", &value).ok());
+  ASSERT_TRUE(store.ReadCommitted(kInfinityTs - 1, "k", &value).ok());
   EXPECT_EQ(value, "persisted");
   EXPECT_EQ(store.MaxCommittedCts(), 5u);
-  EXPECT_EQ(store.LatestCts("k"), 5u);
+  EXPECT_EQ(store.LatestModification("k"), 5u);
   EXPECT_EQ(store.KeyCount(), 1u);
   std::size_t scanned = 0;
   ASSERT_TRUE(store
@@ -406,10 +406,11 @@ TEST(VersionedStoreTest, StatsCountReadsInstallsAndMisses) {
 
   std::string value;
   ASSERT_TRUE(store->ReadCommitted(15, "a", &value).ok());
-  ASSERT_TRUE(store->ReadLatest("a", &value).ok());
+  ASSERT_TRUE(store->ReadCommitted(kInfinityTs - 1, "a", &value).ok());
   EXPECT_TRUE(store->ReadCommitted(15, "missing", &value).IsNotFound());
   EXPECT_TRUE(store->ReadCommitted(5, "b", &value).IsNotFound());
-  EXPECT_TRUE(store->ReadLatest("b", &value).IsNotFound());  // deleted
+  // deleted
+  EXPECT_TRUE(store->ReadCommitted(kInfinityTs - 1, "b", &value).IsNotFound());
 
   const StoreStats& stats = store->stats();
   EXPECT_EQ(stats.installs.load(), 2u);
@@ -447,7 +448,7 @@ TEST(VersionedStoreReadPathTest, ReadCommittedZeroAllocForResidentKeys) {
   AllocationCounter counter;
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(store->ReadCommitted(50, key, &value).ok());
-    ASSERT_TRUE(store->ReadLatest(key, &value).ok());
+    ASSERT_TRUE(store->ReadCommitted(kInfinityTs - 1, key, &value).ok());
   }
   EXPECT_EQ(counter.count(), 0u)
       << "snapshot reads of resident keys must not allocate";
@@ -514,17 +515,17 @@ TEST(VersionedStoreReadPathTest, ScanCallbackMayCreateKeysInSameStore) {
   EXPECT_EQ(value, "d");
 }
 
-TEST(VersionedStoreReadPathTest, ReadLatestSkipsDeletedAndOldVersions) {
+TEST(VersionedStoreReadPathTest, NewestReadSkipsDeletedAndOldVersions) {
   auto store = MakeStore();
   ASSERT_TRUE(store->ApplyCommitted("k", "v1", false, 10, 0).ok());
   ASSERT_TRUE(store->ApplyCommitted("k", "v2", false, 20, 0).ok());
   std::string value;
-  ASSERT_TRUE(store->ReadLatest("k", &value).ok());
+  ASSERT_TRUE(store->ReadCommitted(kInfinityTs - 1, "k", &value).ok());
   EXPECT_EQ(value, "v2");
   ASSERT_TRUE(store->ApplyCommitted("k", "", true, 30, 0).ok());
   // The newest version is a tombstone: the direct live-version probe must
   // report NotFound, not resurrect v2.
-  EXPECT_TRUE(store->ReadLatest("k", &value).IsNotFound());
+  EXPECT_TRUE(store->ReadCommitted(kInfinityTs - 1, "k", &value).IsNotFound());
   // Old snapshots still see the pre-delete value.
   ASSERT_TRUE(store->ReadCommitted(25, "k", &value).ok());
   EXPECT_EQ(value, "v2");
