@@ -15,6 +15,17 @@
 // object before it was unlinked pins an epoch <= e + 1 and therefore blocks
 // the second advance until it exits.
 //
+// Retired garbage stays with the retiring thread, as in Fraser's per-thread
+// limbo lists: each thread's slot keeps three lists, one per epoch modulo 3,
+// behind a spin lock only that thread and an occasional sweep ever take. A
+// retire writes nothing another thread writes — no global lock, no shared
+// counter — and the first retire a thread makes in a new epoch frees its own
+// expired lists, so a busy writer returns memory to its own allocator cache
+// instead of having another thread free it. Sweeps (the background
+// reclaimer, TryReclaim) advance the epoch and free the lists of threads
+// that stopped retiring (idle for two epochs, or exited), so garbage never
+// waits on a thread that went quiet.
+//
 // Guards are reentrant (nesting tracked per thread); Enter costs one relaxed
 // load + one store + one fence, Exit one store. Neither allocates.
 
@@ -35,23 +46,50 @@ namespace streamsi {
 
 class EpochManager {
  public:
-  /// Process-wide manager. Leaked on purpose: stores retire garbage from
-  /// their destructors, which may run during static destruction.
+  /// The process-wide manager (the only one: retire lists hang off the
+  /// per-thread slots it hands out). Leaked on purpose: stores retire
+  /// garbage from their destructors, which may run during static
+  /// destruction.
   static EpochManager& Global() {
     static EpochManager* manager = new EpochManager();
     return *manager;
   }
 
-  EpochManager() = default;
   EpochManager(const EpochManager&) = delete;
   EpochManager& operator=(const EpochManager&) = delete;
 
   /// Sentinel epoch for slots with no active reader (epochs start at 1).
   static constexpr std::uint64_t kIdle = 0;
 
+  struct Garbage {
+    std::uint64_t epoch;
+    void* object;
+    void (*deleter)(void*);
+  };
+
+  /// One thread's reader slot and retire lists. The first cache line is
+  /// the reader side (scanned by every epoch advance); the retire side
+  /// lives on the lines after it.
   struct alignas(64) Slot {
     std::atomic<std::uint64_t> epoch{kIdle};
     std::atomic<bool> claimed{false};
+
+    struct alignas(64) RetireLists {
+      /// Taken by the owning thread on every retire and by sweeps that
+      /// free an idle thread's lists; never contended in steady state.
+      SpinLock lock;
+      /// Garbage held across the three lists (written under `lock`; read
+      /// without it as a hint and by GarbageCount).
+      std::atomic<std::size_t> pending{0};
+      /// Epoch of the owner's newest retire: sweeps leave a thread that
+      /// retired within the last two epochs to free its own lists.
+      std::atomic<std::uint64_t> last_epoch{0};
+      /// Retires since the last opportunistic sweep (owner only).
+      std::uint32_t since_sweep = 0;
+      /// Limbo list i holds garbage retired in epoch `tag[i]`, i = epoch % 3.
+      std::uint64_t tag[3] = {0, 0, 0};
+      std::vector<Garbage> list[3];
+    } retired;
   };
 
   // ------------------------------------------------------------- readers ---
@@ -76,8 +114,9 @@ class EpochManager {
   /// chained on demand, so there is no hard cap on simultaneously
   /// registered threads — exhausting the existing blocks appends a new one
   /// instead of failing. Blocks are never freed (total footprint is bounded
-  /// by the peak live-thread count, one cache line per slot), and released
-  /// slots are recycled by later threads.
+  /// by the peak live-thread count), and released slots are recycled by
+  /// later threads — with whatever garbage their previous owner left, which
+  /// is tagged by epoch and frees like any other.
   Slot* AcquireSlot() {
     for (SlotBlock* block = &head_block_;;) {
       for (Slot& slot : block->slots) {
@@ -124,36 +163,55 @@ class EpochManager {
     // The unlink (e.g. the release store that replaced a bucket table) must
     // be globally visible before the retire epoch is sampled: otherwise a
     // reader pinning epoch e+1 could still load the old pointer while the
-    // garbage is tagged e, and TryReclaim would free it one advance too
-    // early. The seq_cst fence orders the caller's unlink store before this
-    // epoch load.
+    // garbage is tagged e, and it would be freed one advance too early. The
+    // seq_cst fence orders the caller's unlink store before this epoch load.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     const std::uint64_t epoch = global_epoch_.load(std::memory_order_acquire);
-    {
-      std::lock_guard<SpinLock> guard(garbage_lock_);
-      garbage_.push_back(Garbage{epoch, object, deleter});
+    Slot* slot = ThisThreadSlot();
+    if (slot == nullptr) {  // thread-local state already torn down
+      std::lock_guard<SpinLock> guard(orphans_lock_);
+      orphans_.push_back(Garbage{epoch, object, deleter});
+      return;
     }
-    // Opportunistic inline sweep — suppressed while the background
-    // reclaimer runs: draining on a cadence replaces the every-N heuristic,
-    // and keeps the retire fast path to the push_back above.
-    if (!reclaimer_active_.load(std::memory_order_acquire) &&
-        retire_count_.fetch_add(1, std::memory_order_relaxed) %
-                kReclaimInterval ==
-            kReclaimInterval - 1) {
-      TryReclaim();
+    Slot::RetireLists& lists = slot->retired;
+    bool new_epoch = false;
+    {
+      std::lock_guard<SpinLock> guard(lists.lock);
+      new_epoch = lists.last_epoch.load(std::memory_order_relaxed) != epoch;
+      if (new_epoch) {
+        lists.last_epoch.store(epoch, std::memory_order_relaxed);
+        TakeExpiredLocked(lists, epoch);
+      }
+      // List epoch % 3 is empty or already tagged `epoch`: one tagged with
+      // an older epoch is expired and was just taken. (Tagging newer than
+      // an entry is always safe — it only frees later.)
+      const std::size_t i = epoch % 3;
+      lists.tag[i] = epoch;
+      lists.list[i].push_back(Garbage{epoch, object, deleter});
+      lists.pending.store(lists.pending.load(std::memory_order_relaxed) + 1,
+                          std::memory_order_relaxed);
+    }
+    // Free what the new epoch expired, on this thread, outside the lock.
+    if (new_epoch) FreeTaken();
+    // Without the background reclaimer nothing else advances the epoch:
+    // sweep every kReclaimInterval retires of this thread.
+    if (++lists.since_sweep == kReclaimInterval) {
+      lists.since_sweep = 0;
+      if (!reclaimer_active_.load(std::memory_order_acquire)) TryReclaim();
     }
   }
 
   // ------------------------------------------------ background reclaimer ---
 
   /// Starts (or joins, ref-counted) the background reclaimer: a thread that
-  /// drains retired garbage every `interval` instead of the opportunistic
-  /// every-N-retires sweep. Steady garbage sources (version-array growth,
-  /// bucket-table growth) then reclaim on a bounded cadence even when no
-  /// further retires arrive. Each StartBackgroundReclaimer must be paired
-  /// with one StopBackgroundReclaimer — owners (e.g. Database) stop it
-  /// before tearing down the structures whose garbage it drains, so no
-  /// reclaim runs during static destruction.
+  /// advances the epoch every `interval` and frees the garbage of threads
+  /// that stopped retiring, instead of the opportunistic every-N-retires
+  /// sweep. Steady garbage sources (version-array growth, bucket-table
+  /// growth) then reclaim on a bounded cadence even when no further retires
+  /// arrive. Each StartBackgroundReclaimer must be paired with one
+  /// StopBackgroundReclaimer — owners (e.g. Database) stop it before
+  /// tearing down the structures whose garbage it drains, so no reclaim
+  /// runs during static destruction.
   void StartBackgroundReclaimer(
       std::chrono::milliseconds interval = std::chrono::milliseconds(1)) {
     std::lock_guard<std::mutex> guard(reclaimer_mutex_);
@@ -189,49 +247,39 @@ class EpochManager {
   }
 
   /// Tries to advance the global epoch (possible only when every active
-  /// reader has caught up to it) and frees all garbage two epochs old.
-  /// Returns the number of objects freed.
+  /// reader has caught up to it), then frees the expired garbage of the
+  /// calling thread and of every thread that has not retired for two epochs
+  /// (busy retirers free their own at their next retire). Returns the
+  /// number of objects freed.
   std::size_t TryReclaim() {
-    const std::uint64_t epoch = global_epoch_.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    bool can_advance = true;
-    for (const SlotBlock* block = &head_block_; block != nullptr && can_advance;
+    const std::uint64_t epoch = TryAdvance();
+    Slot* self = ThisThreadSlot();
+    for (SlotBlock* block = &head_block_; block != nullptr;
          block = block->next.load(std::memory_order_acquire)) {
-      for (const Slot& slot : block->slots) {
-        const std::uint64_t slot_epoch =
-            slot.epoch.load(std::memory_order_acquire);
-        if (slot_epoch != kIdle && slot_epoch < epoch) {
-          can_advance = false;
-          break;
+      for (Slot& slot : block->slots) {
+        Slot::RetireLists& lists = slot.retired;
+        if (lists.pending.load(std::memory_order_relaxed) == 0) continue;
+        if (&slot != self &&
+            lists.last_epoch.load(std::memory_order_relaxed) + 2 > epoch) {
+          continue;
         }
+        std::lock_guard<SpinLock> guard(lists.lock);
+        TakeExpiredLocked(lists, epoch);
       }
     }
-    std::uint64_t next = epoch;
-    if (can_advance) {
-      std::uint64_t expected = epoch;
-      if (global_epoch_.compare_exchange_strong(expected, epoch + 1,
-                                                std::memory_order_acq_rel)) {
-        next = epoch + 1;
-      } else {
-        next = expected;  // someone else advanced; their view is current
-      }
-    }
-
-    std::vector<Garbage> to_free;
     {
-      std::lock_guard<SpinLock> guard(garbage_lock_);
+      std::lock_guard<SpinLock> guard(orphans_lock_);
       std::size_t kept = 0;
-      for (Garbage& g : garbage_) {
-        if (g.epoch + 2 <= next) {
-          to_free.push_back(g);
+      for (const Garbage& g : orphans_) {
+        if (g.epoch + 2 <= epoch) {
+          TakenList().push_back(g);
         } else {
-          garbage_[kept++] = g;
+          orphans_[kept++] = g;
         }
       }
-      garbage_.resize(kept);
+      orphans_.resize(kept);
     }
-    for (const Garbage& g : to_free) g.deleter(g.object);
-    return to_free.size();
+    return FreeTaken();
   }
 
   /// Test/shutdown helper: reclaims until no garbage remains. Must only be
@@ -242,9 +290,17 @@ class EpochManager {
     }
   }
 
+  /// Retired objects not freed yet, across every thread.
   std::size_t GarbageCount() {
-    std::lock_guard<SpinLock> guard(garbage_lock_);
-    return garbage_.size();
+    std::size_t count = 0;
+    for (SlotBlock* block = &head_block_; block != nullptr;
+         block = block->next.load(std::memory_order_acquire)) {
+      for (Slot& slot : block->slots) {
+        count += slot.retired.pending.load(std::memory_order_relaxed);
+      }
+    }
+    std::lock_guard<SpinLock> guard(orphans_lock_);
+    return count + orphans_.size();
   }
 
   std::uint64_t CurrentEpoch() const {
@@ -252,13 +308,91 @@ class EpochManager {
   }
 
  private:
-  static constexpr std::uint64_t kReclaimInterval = 64;
+  friend class EpochGuard;
 
-  struct Garbage {
-    std::uint64_t epoch;
-    void* object;
-    void (*deleter)(void*);
+  /// The calling thread's slot (claimed on first use, released at thread
+  /// exit); nullptr once the thread's state has been torn down.
+  static Slot* ThisThreadSlot() {
+    if (thread_state_gone_) return nullptr;
+    return State().slot;
+  }
+
+  static constexpr std::uint32_t kReclaimInterval = 64;
+
+  EpochManager() = default;
+
+  struct ThreadState {
+    ThreadState() : slot(Global().AcquireSlot()) {}
+    ~ThreadState() {
+      thread_state_gone_ = true;
+      Global().ReleaseSlot(slot);
+    }
+    Slot* const slot;
+    int depth = 0;
   };
+
+  static ThreadState& State() {
+    thread_local ThreadState state;
+    return state;
+  }
+
+  /// Garbage taken off the lists and about to be freed by this thread.
+  /// Reused, so steady-state frees allocate nothing.
+  static std::vector<Garbage>& TakenList() {
+    thread_local std::vector<Garbage> taken;
+    return taken;
+  }
+
+  /// Advances the global epoch if every active reader has caught up to it.
+  /// Returns the current epoch.
+  std::uint64_t TryAdvance() {
+    const std::uint64_t epoch = global_epoch_.load(std::memory_order_acquire);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    for (const SlotBlock* block = &head_block_; block != nullptr;
+         block = block->next.load(std::memory_order_acquire)) {
+      for (const Slot& slot : block->slots) {
+        const std::uint64_t slot_epoch =
+            slot.epoch.load(std::memory_order_acquire);
+        if (slot_epoch != kIdle && slot_epoch < epoch) return epoch;
+      }
+    }
+    std::uint64_t expected = epoch;
+    if (global_epoch_.compare_exchange_strong(expected, epoch + 1,
+                                              std::memory_order_acq_rel)) {
+      return epoch + 1;
+    }
+    return expected;  // someone else advanced; their view is current
+  }
+
+  /// Moves every list of `lists` retired at or before `epoch - 2` onto
+  /// this thread's TakenList. Caller holds `lists.lock`.
+  static void TakeExpiredLocked(Slot::RetireLists& lists,
+                                std::uint64_t epoch) {
+    for (int i = 0; i < 3; ++i) {
+      std::vector<Garbage>& list = lists.list[i];
+      if (list.empty() || lists.tag[i] + 2 > epoch) continue;
+      TakenList().insert(TakenList().end(), list.begin(), list.end());
+      lists.pending.store(
+          lists.pending.load(std::memory_order_relaxed) - list.size(),
+          std::memory_order_relaxed);
+      list.clear();  // keeps its capacity for the epochs to come
+    }
+  }
+
+  /// Runs the deleters of everything TakenList holds. Returns the count.
+  /// Pops before each call, so a deleter that retires (and sweeps) again
+  /// never sees a half-consumed list.
+  static std::size_t FreeTaken() {
+    std::vector<Garbage>& taken = TakenList();
+    std::size_t count = 0;
+    while (!taken.empty()) {
+      const Garbage g = taken.back();
+      taken.pop_back();
+      g.deleter(g.object);
+      ++count;
+    }
+    return count;
+  }
 
   void ReclaimerLoop(std::uint64_t generation) {
     // Loop liveness is keyed on refs + the SPAWN generation, both read
@@ -271,8 +405,8 @@ class EpochManager {
       if (reclaimer_refs_ == 0 || reclaimer_generation_ != generation) break;
       lock.unlock();
       // One pass per tick advances the epoch at most once; garbage retired
-      // in epoch e frees after the second advance, i.e. within two ticks of
-      // quiescence.
+      // in epoch e frees after the second advance — by its retiring thread
+      // if that thread keeps retiring, by this sweep once it goes idle.
       TryReclaim();
       lock.lock();
     }
@@ -280,19 +414,23 @@ class EpochManager {
     TryReclaim();  // parting sweep so a stopped reclaimer leaves no backlog
   }
 
-  /// One chunk of reader slots. Blocks are appended (never removed) under
-  /// CAS on `next`, so reclaimers can walk the chain without locking.
+  /// One chunk of slots. Blocks are appended (never removed) under CAS on
+  /// `next`, so sweeps can walk the chain without locking.
   struct SlotBlock {
     static constexpr int kSlotsPerBlock = 256;
     Slot slots[kSlotsPerBlock];
     std::atomic<SlotBlock*> next{nullptr};
   };
 
+  /// Set when this thread's ThreadState is destroyed (thread exit): later
+  /// retires from destructors of other thread-locals go to `orphans_`.
+  static inline thread_local bool thread_state_gone_ = false;
+
   std::atomic<std::uint64_t> global_epoch_{1};
-  std::atomic<std::uint64_t> retire_count_{0};
   SlotBlock head_block_;
-  SpinLock garbage_lock_;
-  std::vector<Garbage> garbage_;  // guarded by garbage_lock_
+  /// Garbage retired after its thread's state was torn down (rare).
+  SpinLock orphans_lock_;
+  std::vector<Garbage> orphans_;  // guarded by orphans_lock_
 
   /// Background reclaimer state (ref-counted; thread exists while refs>0).
   std::mutex reclaimer_mutex_;
@@ -310,28 +448,15 @@ class EpochManager {
 class EpochGuard {
  public:
   EpochGuard() {
-    ThreadState& state = State();
+    EpochManager::ThreadState& state = EpochManager::State();
     if (state.depth++ == 0) EpochManager::Global().Enter(state.slot);
   }
   ~EpochGuard() {
-    ThreadState& state = State();
+    EpochManager::ThreadState& state = EpochManager::State();
     if (--state.depth == 0) EpochManager::Global().Exit(state.slot);
   }
   EpochGuard(const EpochGuard&) = delete;
   EpochGuard& operator=(const EpochGuard&) = delete;
-
- private:
-  struct ThreadState {
-    ThreadState() : slot(EpochManager::Global().AcquireSlot()) {}
-    ~ThreadState() { EpochManager::Global().ReleaseSlot(slot); }
-    EpochManager::Slot* const slot;
-    int depth = 0;
-  };
-
-  static ThreadState& State() {
-    thread_local ThreadState state;
-    return state;
-  }
 };
 
 }  // namespace streamsi

@@ -273,6 +273,9 @@ Result<VersionedStore*> Database::CreateStateInternal(
   if (stores_.size() != id) {
     return Status::Corruption("state registry out of sync with store table");
   }
+  if (id >= kMaxStates) {
+    return Status::ResourceExhausted("store directory full");
+  }
 
   auto store = std::make_unique<VersionedStore>(
       id, name, std::move(backend).value(), options_.store_options);
@@ -312,6 +315,7 @@ Result<VersionedStore*> Database::CreateStateInternal(
     pending_loads_.push_back(id);
   }
   stores_.push_back(std::move(store));
+  PublishStoreLocked(id, raw);
   stores_by_name_[name] = id;
 
   if (declared == nullptr) {
@@ -505,9 +509,24 @@ Result<VersionedStore*> Database::CreateIndex(
 }
 
 VersionedStore* Database::GetState(StateId id) {
-  SharedGuard guard(stores_latch_);
-  if (id >= stores_.size()) return nullptr;
-  return stores_[id].get();
+  if (id >= kMaxStates) return nullptr;
+  const std::atomic<VersionedStore*>* chunk =
+      directory_[id / kDirectoryChunk].load(std::memory_order_acquire);
+  if (chunk == nullptr) return nullptr;
+  return chunk[id % kDirectoryChunk].load(std::memory_order_acquire);
+}
+
+void Database::PublishStoreLocked(StateId id, VersionedStore* store) {
+  std::atomic<std::atomic<VersionedStore*>*>& slot =
+      directory_[id / kDirectoryChunk];
+  std::atomic<VersionedStore*>* chunk = slot.load(std::memory_order_relaxed);
+  if (chunk == nullptr) {
+    directory_chunks_.push_back(
+        std::make_unique<std::atomic<VersionedStore*>[]>(kDirectoryChunk));
+    chunk = directory_chunks_.back().get();
+    slot.store(chunk, std::memory_order_release);
+  }
+  chunk[id % kDirectoryChunk].store(store, std::memory_order_release);
 }
 
 VersionedStore* Database::FindState(const std::string& name) {
@@ -862,8 +881,13 @@ Status Database::DoCheckpoint() {
   std::lock_guard<std::mutex> guard(checkpoint_mutex_);
 
   // 1. Fresh segment: every commit record from here on lands after the
-  //    upcoming cut.
+  //    upcoming cut. Size rolls stay off until the cut record is written;
+  //    a failure before that lets them resume on the way out.
   STREAMSI_RETURN_NOT_OK(group_log_->RotateSegment());
+  struct RollResume {
+    GroupCommitLog* log;
+    ~RollResume() { log->AbandonCheckpoint(); }
+  } roll_resume{group_log_.get()};
 
   // 2. Drain the publication gate: a commit registers in flight BEFORE its
   //    durable record, so every commit whose record could live in the old

@@ -6,6 +6,7 @@
 #ifndef STREAMSI_CORE_DATABASE_H_
 #define STREAMSI_CORE_DATABASE_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <memory>
@@ -183,6 +184,8 @@ class Database {
       const std::string& base_name, const std::string& index_name,
       TransactionManager::IndexKeyExtractor extractor);
 
+  /// Latch-free: one load from the append-only store directory (the
+  /// commit path resolves a store for every write).
   VersionedStore* GetState(StateId id);
   VersionedStore* FindState(const std::string& name);
 
@@ -351,6 +354,23 @@ class Database {
   std::atomic<std::uint64_t> commit_io_failures_{0};
   std::atomic<std::uint64_t> degraded_commit_rejections_{0};
 
+  /// Publishes `store` under `id` in the directory. Caller holds
+  /// stores_latch_ exclusively.
+  void PublishStoreLocked(StateId id, VersionedStore* store);
+
+  /// Append-only store directory read by GetState without a latch: chunks
+  /// of atomic store pointers, allocated on demand under the exclusive
+  /// stores_latch_ and never freed or repointed before the database dies,
+  /// so a reader either sees nullptr (unknown id) or the final pointer.
+  static constexpr std::size_t kDirectoryChunk = 256;
+  static constexpr std::size_t kMaxStates = kDirectoryChunk * 256;
+  std::array<std::atomic<std::atomic<VersionedStore*>*>,
+             kMaxStates / kDirectoryChunk>
+      directory_{};
+  /// Owns the directory chunks (declared before stores_, so they outlive
+  /// every store). Under stores_latch_.
+  std::vector<std::unique_ptr<std::atomic<VersionedStore*>[]>>
+      directory_chunks_;
   mutable RwLatch stores_latch_;
   std::vector<std::unique_ptr<VersionedStore>> stores_;  // index = StateId
   std::unordered_map<std::string, StateId> stores_by_name_;

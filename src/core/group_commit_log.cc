@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/coding.h"
+#include "common/logging.h"
 #include "core/commit_record.h"
 
 namespace streamsi {
@@ -135,6 +136,7 @@ Status GroupCommitLog::Open(const std::string& path) {
       segments_.push_back(current_segment_);
     }
   }
+  checkpoint_segment_ = current_segment_;
   return writer_.Open(SegmentPath(root_path_, current_segment_),
                       /*truncate=*/false);
 }
@@ -151,11 +153,32 @@ Status GroupCommitLog::RecordCommit(const GroupId* groups, std::size_t count,
   PutVarint32(&payload, static_cast<std::uint32_t>(count));
   for (std::size_t i = 0; i < count; ++i) PutVarint32(&payload, groups[i]);
   PutVarint64(&payload, cts);
-  if (write_sets.empty()) {
-    return writer_.Append(WalRecordType::kGroupCommit, payload, sync);
+  WalRecordType type = WalRecordType::kGroupCommit;
+  if (!write_sets.empty()) {
+    payload.append(write_sets.data(), write_sets.size());
+    type = WalRecordType::kReplicatedCommit;
   }
-  payload.append(write_sets.data(), write_sets.size());
-  return writer_.Append(WalRecordType::kReplicatedCommit, payload, sync);
+  STREAMSI_RETURN_NOT_OK(writer_.Append(type, payload, sync));
+  if (writer_.size() >= kSegmentRollBytes) MaybeRoll();
+  return Status::OK();
+}
+
+void GroupCommitLog::MaybeRoll() {
+  std::lock_guard<std::mutex> guard(segments_mutex_);
+  // Re-checked under the lock: committers that crossed the limit together
+  // queue here, and only the first one rolls.
+  if (checkpoint_window_ || writer_.size() < kSegmentRollBytes) return;
+  const std::uint64_t next = current_segment_ + 1;
+  // The triggering commit's record is already durable in the old segment,
+  // so a failed roll does not fail it; a failed file creation poisons the
+  // writer and the next commit reports it.
+  const Status status = writer_.RotateTo(SegmentPath(root_path_, next));
+  if (!status.ok()) {
+    STREAMSI_WARN("group commit log roll failed: " << status.ToString());
+    return;
+  }
+  current_segment_ = next;
+  segments_.push_back(next);
 }
 
 Status GroupCommitLog::ConsumeFault(CheckpointFault point) {
@@ -174,22 +197,32 @@ Status GroupCommitLog::RotateSegment() {
   const std::uint64_t next = current_segment_ + 1;
   STREAMSI_RETURN_NOT_OK(writer_.RotateTo(SegmentPath(root_path_, next)));
   current_segment_ = next;
+  checkpoint_segment_ = next;
+  checkpoint_window_ = true;
   segments_.push_back(next);
   return Status::OK();
 }
 
 Status GroupCommitLog::WriteCheckpoint(
     const std::pair<GroupId, Timestamp>* cut, std::size_t count) {
-  STREAMSI_RETURN_NOT_OK(
-      ConsumeFault(CheckpointFault::kBeforeCheckpointRecord));
-  std::string payload;
-  PutVarint32(&payload, static_cast<std::uint32_t>(count));
-  for (std::size_t i = 0; i < count; ++i) {
-    PutVarint32(&payload, cut[i].first);
-    PutVarint64(&payload, cut[i].second);
+  Status status = ConsumeFault(CheckpointFault::kBeforeCheckpointRecord);
+  if (status.ok()) {
+    std::string payload;
+    PutVarint32(&payload, static_cast<std::uint32_t>(count));
+    for (std::size_t i = 0; i < count; ++i) {
+      PutVarint32(&payload, cut[i].first);
+      PutVarint64(&payload, cut[i].second);
+    }
+    status = writer_.Append(WalRecordType::kCheckpointCut, payload,
+                            /*sync=*/true);
   }
-  return writer_.Append(WalRecordType::kCheckpointCut, payload,
-                        /*sync=*/true);
+  AbandonCheckpoint();
+  return status;
+}
+
+void GroupCommitLog::AbandonCheckpoint() {
+  std::lock_guard<std::mutex> guard(segments_mutex_);
+  checkpoint_window_ = false;
 }
 
 Status GroupCommitLog::PruneObsoleteSegments() {
@@ -199,7 +232,7 @@ Status GroupCommitLog::PruneObsoleteSegments() {
   Status first_error;
   std::vector<std::uint64_t> kept;
   for (std::uint64_t n : segments_) {
-    if (n == current_segment_ || n >= floor) {
+    if (n >= checkpoint_segment_ || n >= floor) {
       kept.push_back(n);
       continue;
     }

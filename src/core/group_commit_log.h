@@ -16,16 +16,29 @@
 // (aborted at the durability point), and it must be purged from every
 // store even when a concurrent commit with a larger CTS did log.
 //
+// Segments roll by size: once the current segment holds
+// kSegmentRollBytes, the commit whose record crossed the limit starts the
+// next segment (WalWriter::RotateTo, the same drain-and-switch a checkpoint
+// uses). No file outgrows the limit by more than one write batch, so a
+// workload that never checkpoints still writes bounded files — one
+// unbounded file hit the process's file-size limit (SIGXFSZ) mid-run.
+//
 // Checkpoints bound the chain (Database::Checkpoint drives the protocol):
-//   1. RotateSegment()   — later commit records land in a fresh segment.
+//   1. RotateSegment()   — later commit records land in a fresh segment,
+//      the checkpoint's own segment. Size rolls are held off from here
+//      until step 3 ends (or AbandonCheckpoint()): replay starts at the
+//      segment holding the cut, so a roll before the cut would strand the
+//      post-rotation records in a segment replay never reads.
 //   2. (the database drains in-flight commits, takes one
 //      publication-seqlock-consistent LastCTS cut, writes every store's
 //      images at or below it and flushes the backends)
 //   3. WriteCheckpoint() — the cut becomes a durable kCheckpointCut record
-//      in the new segment; it subsumes every record in OLDER segments
-//      (their commits published before the cut was taken, so the images
-//      hold their versions).
-//   4. PruneObsoleteSegments() — older segments are deleted.
+//      in the checkpoint's segment; it subsumes every record in OLDER
+//      segments (their commits published before the cut was taken, so the
+//      images hold their versions).
+//   4. PruneObsoleteSegments() — segments older than the checkpoint's own
+//      are deleted. Not "all but the current one": a size roll after the
+//      cut may already have moved appends past the cut's segment.
 // Replay walks segments newest -> oldest until it finds one containing a
 // complete checkpoint cut and max-merges that segment and everything newer,
 // so restart work is bounded by data since the last checkpoint. A torn or
@@ -53,6 +66,9 @@ namespace streamsi {
 
 class GroupCommitLog {
  public:
+  /// Segment size at which RecordCommit rolls to a new segment.
+  static constexpr std::uint64_t kSegmentRollBytes = 64ull << 20;
+
   GroupCommitLog(SyncMode sync_mode, std::uint64_t simulated_sync_micros,
                  Env* env = nullptr)
       : env_(env != nullptr ? env : Env::Default()),
@@ -68,7 +84,9 @@ class GroupCommitLog {
   /// to `cts` — and its encoded `write_sets` as a single all-or-nothing
   /// kReplicatedCommit record (still ONE Append+Sync per group-commit
   /// batch). The payload buffer is thread-local and reused, so steady-state
-  /// commits encode without heap allocation. Empty `write_sets` writes a
+  /// commits encode without heap allocation. The commit whose record takes
+  /// the segment past the roll size starts the next segment after its own
+  /// record is durable (outside a checkpoint window). Empty `write_sets` writes a
   /// data-less kGroupCommit record, the format of directories whose data
   /// lives in backend blobs (kept for tests that build such directories).
   Status RecordCommit(const GroupId* groups, std::size_t count, Timestamp cts,
@@ -79,19 +97,25 @@ class GroupCommitLog {
 
   // ------------------------------------------------- checkpoint protocol ---
 
-  /// Starts a fresh segment; subsequent records land there. Step 1 of a
+  /// Starts a fresh segment — the checkpoint's own — and holds off size
+  /// rolls until WriteCheckpoint or AbandonCheckpoint. Step 1 of a
   /// checkpoint (see file comment).
   Status RotateSegment();
 
-  /// Appends the LastCTS cut as a durable (synced) kCheckpointCut record.
+  /// Appends the LastCTS cut as a durable (synced) kCheckpointCut record,
+  /// then lets size rolls resume (whatever the outcome).
   Status WriteCheckpoint(const std::pair<GroupId, Timestamp>* cut,
                          std::size_t count);
 
-  /// Deletes every segment older than the current one, except those at or
-  /// above the retain floor (a replication slot: the shipper holds back
-  /// segments it has not fully streamed yet). Failures leave the stale
-  /// segments in place — replay stays correct (max-merge), only the disk
-  /// footprint suffers until the next checkpoint retries.
+  /// Lets size rolls resume after a checkpoint that failed between
+  /// RotateSegment and WriteCheckpoint. Idempotent.
+  void AbandonCheckpoint();
+
+  /// Deletes every segment older than the last checkpoint's own segment,
+  /// except those at or above the retain floor (a replication slot: the
+  /// shipper holds back segments it has not fully streamed yet). Failures
+  /// leave the stale segments in place — replay stays correct (max-merge),
+  /// only the disk footprint suffers until the next checkpoint retries.
   Status PruneObsoleteSegments();
 
   /// Replication slot: segments numbered >= `segment` survive pruning until
@@ -209,6 +233,9 @@ class GroupCommitLog {
                              std::vector<std::uint64_t>* numbers);
   /// Fails with IoError iff `point` is the armed fault (one-shot).
   Status ConsumeFault(CheckpointFault point);
+  /// Size roll: starts the next segment if the current one still holds at
+  /// least kSegmentRollBytes and no checkpoint window is open.
+  void MaybeRoll();
 
   std::string root_path_;
   Env* env_;  ///< declared before writer_: the writer borrows it
@@ -216,6 +243,11 @@ class GroupCommitLog {
   mutable std::mutex segments_mutex_;
   std::vector<std::uint64_t> segments_;  ///< live on disk, ascending
   std::uint64_t current_segment_ = 0;    ///< under segments_mutex_
+  /// The segment the last RotateSegment started (the segment opened at
+  /// Open before any): pruning keeps it and everything newer.
+  std::uint64_t checkpoint_segment_ = 0;  ///< under segments_mutex_
+  /// RotateSegment..WriteCheckpoint: size rolls are held off.
+  bool checkpoint_window_ = false;        ///< under segments_mutex_
   std::atomic<int> failures_to_inject_{0};
   std::atomic<CheckpointFault> checkpoint_fault_{CheckpointFault::kNone};
   std::atomic<std::uint64_t> retain_floor_{kNoRetainFloor};

@@ -450,54 +450,80 @@ Status TransactionManager::GlobalCommit(Transaction& txn) {
   return Status::OK();
 }
 
+TransactionManager::~TransactionManager() {
+  // No commit can be dispatching any more: the table goes directly.
+  delete listeners_.load(std::memory_order_acquire);
+}
+
 void TransactionManager::NotifyCommitListeners(Transaction& txn,
                                                Timestamp commit_ts,
                                                const StateId* written,
                                                std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     const StateId state = written[i];
-    std::vector<std::pair<std::uint64_t, CommitListener>> listeners;
+    // References to this state's listeners, taken while the epoch pins the
+    // table; the calls run after the guard closes.
+    std::array<std::shared_ptr<const CommitListener>, kInlineListeners>
+        inline_fns;
+    std::vector<std::shared_ptr<const CommitListener>> spilled;
+    std::size_t n = 0;
     {
-      SharedGuard guard(listeners_latch_);
-      auto it = listeners_.find(state);
-      if (it == listeners_.end()) continue;
-      listeners = it->second;  // copy: listeners may (un)register in callbacks
+      EpochGuard guard;
+      const ListenerTable* table = listeners_.load(std::memory_order_acquire);
+      if (table == nullptr) return;
+      auto it = table->by_state.find(state);
+      if (it == table->by_state.end()) continue;
+      for (const ListenerTable::Listener& listener : it->second) {
+        if (n < kInlineListeners) {
+          inline_fns[n++] = listener.fn;
+        } else {
+          spilled.push_back(listener.fn);
+        }
+      }
     }
-    if (listeners.empty()) continue;
+    if (n == 0) continue;
     const WriteSet* ws = txn.FindWriteSet(state);
     if (ws == nullptr) continue;
     CommitInfo info;
     info.txn_id = txn.id();
     info.commit_ts = commit_ts;
     info.changes = ws;
-    for (const auto& [token, listener] : listeners) {
-      (void)token;
-      listener(info);
-    }
+    for (std::size_t j = 0; j < n; ++j) (*inline_fns[j])(info);
+    for (const auto& fn : spilled) (*fn)(info);
   }
 }
 
 std::uint64_t TransactionManager::RegisterCommitListener(
     StateId state, CommitListener listener) {
-  ExclusiveGuard guard(listeners_latch_);
+  std::lock_guard<std::mutex> guard(listeners_mutex_);
+  const ListenerTable* old = listeners_.load(std::memory_order_relaxed);
+  auto table = old != nullptr ? std::make_unique<ListenerTable>(*old)
+                              : std::make_unique<ListenerTable>();
   const std::uint64_t token = next_listener_token_++;
-  listeners_[state].emplace_back(token, std::move(listener));
+  table->by_state[state].push_back(ListenerTable::Listener{
+      token, std::make_shared<const CommitListener>(std::move(listener))});
+  listeners_.store(table.release(), std::memory_order_release);
   has_listeners_.store(true, std::memory_order_release);
+  if (old != nullptr) EpochManager::Global().Retire(old);
   return token;
 }
 
 void TransactionManager::UnregisterCommitListener(std::uint64_t token) {
-  ExclusiveGuard guard(listeners_latch_);
+  std::lock_guard<std::mutex> guard(listeners_mutex_);
+  const ListenerTable* old = listeners_.load(std::memory_order_relaxed);
+  if (old == nullptr) return;
+  auto table = std::make_unique<ListenerTable>();
   bool any = false;
-  for (auto& [state, vec] : listeners_) {
-    vec.erase(std::remove_if(vec.begin(), vec.end(),
-                             [token](const auto& p) {
-                               return p.first == token;
-                             }),
-              vec.end());
-    any = any || !vec.empty();
+  for (const auto& [state, listeners] : old->by_state) {
+    for (const ListenerTable::Listener& listener : listeners) {
+      if (listener.token == token) continue;
+      table->by_state[state].push_back(listener);
+      any = true;
+    }
   }
+  listeners_.store(table.release(), std::memory_order_release);
   has_listeners_.store(any, std::memory_order_release);
+  EpochManager::Global().Retire(old);
 }
 
 void TransactionManager::GlobalAbort(Transaction& txn) {

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -71,6 +72,10 @@ class TransactionManager {
         resolver_(std::move(resolver)),
         group_log_(group_log),
         durable_group_log_(durable_group_log) {}
+  ~TransactionManager();
+
+  TransactionManager(const TransactionManager&) = delete;
+  TransactionManager& operator=(const TransactionManager&) = delete;
 
   /// BOT: claims a slot, assigns the transaction timestamp (§4.1).
   Result<std::unique_ptr<TransactionHandle>> Begin();
@@ -229,11 +234,24 @@ class TransactionManager {
   std::unordered_map<StateId, std::vector<IndexBinding>> indexes_;
   std::atomic<bool> has_indexes_{false};
 
-  mutable RwLatch listeners_latch_;
-  std::uint64_t next_listener_token_ = 1;
-  std::unordered_map<StateId,
-                     std::vector<std::pair<std::uint64_t, CommitListener>>>
-      listeners_;
+  /// Commit listeners, immutable once published. Dispatch reads the table
+  /// inside an EpochGuard and copies only listener references (no heap
+  /// allocation for up to kInlineListeners per state); (un)registration
+  /// builds a successor under listeners_mutex_, publishes it and retires
+  /// the old table through the EpochManager. The references let a
+  /// listener run with no epoch pinned — a slow one never stalls
+  /// reclamation — and keep it alive if it unregisters itself mid-call.
+  struct ListenerTable {
+    struct Listener {
+      std::uint64_t token = 0;
+      std::shared_ptr<const CommitListener> fn;
+    };
+    std::unordered_map<StateId, std::vector<Listener>> by_state;
+  };
+  static constexpr std::size_t kInlineListeners = 4;
+  std::mutex listeners_mutex_;
+  std::uint64_t next_listener_token_ = 1;  ///< under listeners_mutex_
+  std::atomic<const ListenerTable*> listeners_{nullptr};
   std::atomic<bool> has_listeners_{false};
 };
 

@@ -38,7 +38,16 @@ Status ConcurrencyProtocol::ApplyWriteSet(Transaction& txn,
 
   // The dirty array keeps one (current) entry per key, in first-touch
   // order.
-  for (const auto& entry : ws->entries()) {
+  const auto& entries = ws->entries();
+  constexpr std::size_t kPrefetchAhead = 8;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    // Start the version-array miss of the key kPrefetchAhead installs
+    // ahead, so it overlaps the installs in between.
+    if (i + kPrefetchAhead < entries.size() &&
+        entries[i + kPrefetchAhead].commit_hint != nullptr) {
+      store.PrefetchForApply(entries[i + kPrefetchAhead].commit_hint);
+    }
+    const auto& entry = entries[i];
     // SI's validate phase stashed the resolved store entry on each
     // write-set entry; installing through it skips the per-key probe.
     // Protocols that don't resolve handles (S2PL/BOCC) take the key path.

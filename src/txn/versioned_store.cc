@@ -159,6 +159,26 @@ VersionedStore::Entry* VersionedStore::FindEntry(std::string_view key,
   return nullptr;
 }
 
+void VersionedStore::PrefetchBucket(std::size_t hash) const {
+  const BucketTable* table =
+      shards_[ShardIndex(hash)].table.load(std::memory_order_acquire);
+  __builtin_prefetch(&table->buckets[hash & table->mask]);
+}
+
+void VersionedStore::PrefetchEntry(std::size_t hash) const {
+  const BucketTable* table =
+      shards_[ShardIndex(hash)].table.load(std::memory_order_acquire);
+  const Entry* entry =
+      table->buckets[hash & table->mask].load(std::memory_order_acquire);
+  if (entry == nullptr) return;
+  // The probe compares hash + key (first line); Phase C then claims
+  // commit_owner and reads latest_modification further into the entry.
+  const char* bytes = reinterpret_cast<const char*>(entry);
+  for (std::size_t offset = 0; offset < sizeof(Entry); offset += 64) {
+    __builtin_prefetch(bytes + offset, 1);
+  }
+}
+
 std::size_t VersionedStore::FindBucketOf(const BucketTable* table,
                                          const Entry* entry) {
   for (std::size_t i = entry->hash & table->mask, probes = 0;
@@ -365,11 +385,23 @@ Status VersionedStore::LockForCommitBatch(CommitLockRequest* requests,
 
   // Phase A: resolve every existing entry under ONE epoch pin (the per-key
   // path pins once per key). Write sets cache HashKey(key) per entry, so
-  // nothing is re-hashed here either.
+  // nothing is re-hashed here either. Each probe is a chain of dependent
+  // misses (bucket -> entry); a two-stage group prefetch starts the bucket
+  // line of key i + 16 and the entry lines of key i + 8, so by the time
+  // key i is probed both are (usually) in cache.
+  constexpr std::size_t kBucketAhead = 16;
+  constexpr std::size_t kEntryAhead = 8;
   std::size_t misses = 0;
   {
     EpochGuard epoch_guard;
+    for (std::size_t i = 0; i < std::min(count, kBucketAhead); ++i) {
+      PrefetchBucket(requests[i].hash);
+    }
     for (std::size_t i = 0; i < count; ++i) {
+      if (i + kBucketAhead < count) {
+        PrefetchBucket(requests[i + kBucketAhead].hash);
+      }
+      if (i + kEntryAhead < count) PrefetchEntry(requests[i + kEntryAhead].hash);
       assert(requests[i].hash == HashKey(requests[i].key));
       requests[i].handle = FindEntry(requests[i].key, requests[i].hash);
       misses += requests[i].handle == nullptr ? 1 : 0;

@@ -65,23 +65,59 @@ struct StoreOptions {
   std::uint64_t version_wait_micros = 200'000;
 };
 
-/// Operation counters of one store (observability; all relaxed atomics).
+/// Relaxed event counter striped over cache lines: each thread adds to its
+/// own stripe, so two threads counting the same event never write the same
+/// line; a read sums the stripes. Spelled like std::atomic's load and
+/// fetch_add, so readers of StoreStats compile unchanged.
+class StripedCounter {
+ public:
+  static constexpr std::size_t kStripes = 8;
+
+  std::uint64_t load(
+      std::memory_order order = std::memory_order_relaxed) const {
+    std::uint64_t sum = 0;
+    for (const Stripe& stripe : stripes_) sum += stripe.value.load(order);
+    return sum;
+  }
+
+  void fetch_add(std::uint64_t n,
+                 std::memory_order order = std::memory_order_relaxed) {
+    stripes_[ThreadStripe()].value.fetch_add(n, order);
+  }
+
+ private:
+  struct alignas(64) Stripe {
+    std::atomic<std::uint64_t> value{0};
+  };
+
+  /// Threads take stripes round-robin in order of their first count.
+  static std::size_t ThreadStripe() {
+    static std::atomic<std::size_t> next{0};
+    thread_local const std::size_t stripe =
+        next.fetch_add(1, std::memory_order_relaxed) % kStripes;
+    return stripe;
+  }
+
+  Stripe stripes_[kStripes];
+};
+
+/// Operation counters of one store (observability).
 struct StoreStats {
-  std::atomic<std::uint64_t> reads{0};
-  std::atomic<std::uint64_t> read_misses{0};
-  std::atomic<std::uint64_t> read_retries{0};  ///< seqlock interference
-  std::atomic<std::uint64_t> installs{0};
-  std::atomic<std::uint64_t> deletes{0};
-  std::atomic<std::uint64_t> scans{0};
-  std::atomic<std::uint64_t> gc_reclaimed{0};
+  StripedCounter reads;
+  StripedCounter read_misses;
+  StripedCounter read_retries;  ///< seqlock interference
+  StripedCounter installs;
+  StripedCounter deletes;
+  StripedCounter scans;
+  StripedCounter gc_reclaimed;
   /// Version-array growth events (a key outgrew its slot array under a
   /// lagging reader pin).
-  std::atomic<std::uint64_t> slot_growths{0};
+  StripedCounter slot_growths;
   /// Installs that had to wait for the GC floor to advance (hot key at
   /// mvcc_slots_max with every version pinned).
-  std::atomic<std::uint64_t> version_wait_stalls{0};
+  StripedCounter version_wait_stalls;
   /// Batched validate-and-lock passes (LockForCommitBatch calls).
-  std::atomic<std::uint64_t> batch_validates{0};
+  StripedCounter batch_validates;
 };
 
 /// One transactional state table (untyped: byte-string keys/values).
@@ -186,6 +222,13 @@ class VersionedStore {
   /// Handle-based First-Committer-Wins comparison point (no probe, no
   /// epoch pin — the handle already is the entry).
   Timestamp LatestModification(EntryHandle handle) const;
+
+  /// Prefetch hint for an upcoming handle-based ApplyCommitted: starts the
+  /// version-array miss early so an apply loop overlaps it with the
+  /// installs of the keys before it.
+  void PrefetchForApply(EntryHandle handle) const {
+    static_cast<const Entry*>(handle)->object.PrefetchVersions();
+  }
 
   /// Installs one committed write (value or tombstone) at `commit_ts` in
   /// memory; the commit's log record is its durability. The GC watermark
@@ -444,6 +487,11 @@ class VersionedStore {
   /// Latch-free probe. Caller must hold an EpochGuard; the returned Entry*
   /// stays valid for the store's lifetime.
   Entry* FindEntry(std::string_view key, std::size_t hash) const;
+  /// Prefetch stages of a batched probe (caller holds an EpochGuard): the
+  /// home bucket of `hash`, then — once that line has arrived — the entry
+  /// it points to. Hints only; FindEntry stays the authoritative probe.
+  void PrefetchBucket(std::size_t hash) const;
+  void PrefetchEntry(std::size_t hash) const;
   Entry* GetOrCreateEntry(std::string_view key);
   /// Shared scaffold of every optimistic read: runs `try_fn` (one seqlock
   /// attempt, returning MvccObject::ReadResult) up to kOptimisticRetries

@@ -127,6 +127,44 @@ TEST(CommitPathAllocTest, SteadyStateCommitAllocatesOnlyVersionBuffers) {
       << "commit bookkeeping must not allocate beyond the 4 version buffers";
 }
 
+TEST(CommitPathAllocTest, CommitListenerDispatchAllocatesNothing) {
+  // A state with a listener (TO_STREAM kOnCommit, the ingest probe) must
+  // commit with the same allocation budget as one without: dispatch may
+  // not copy the listener list.
+  Harness h;
+  const std::string keys[4] = {"listen-key-00001", "listen-key-00002",
+                               "listen-key-00003", "listen-key-00004"};
+  std::uint64_t changes_seen = 0;
+  const auto token = h.manager->RegisterCommitListener(
+      0, [&changes_seen](const CommitInfo& info) {
+        info.ForEachChange([&](std::string_view, std::string_view, bool) {
+          ++changes_seen;
+        });
+      });
+  // Counts from after Begin (its handle is a heap object) through Commit.
+  const auto commit_cycle = [&](std::uint64_t* allocs) {
+    auto t = h.manager->Begin();
+    ASSERT_TRUE(t.ok());
+    AllocationCounter counter;
+    for (const auto& key : keys) {
+      ASSERT_TRUE(h.manager->Write((*t)->txn(), 0, key, "v-small").ok());
+    }
+    ASSERT_TRUE(h.manager->Commit((*t)->txn()).ok());
+    *allocs = counter.count();
+  };
+  std::uint64_t allocs = 0;
+  for (int cycle = 0; cycle < 8; ++cycle) commit_cycle(&allocs);
+  std::uint64_t min_allocs = ~0ull;
+  for (int cycle = 0; cycle < 8; ++cycle) {
+    commit_cycle(&allocs);
+    min_allocs = std::min(min_allocs, allocs);
+  }
+  EXPECT_EQ(changes_seen, 16u * 4u);
+  EXPECT_EQ(min_allocs, 4u)
+      << "listener dispatch must not allocate beyond the 4 version buffers";
+  h.manager->UnregisterCommitListener(token);
+}
+
 TEST(CommitPathAllocTest, AbortPathAllocatesNothingAtSteadyState) {
   Harness h;
   const std::string key = "abort-key-000001";

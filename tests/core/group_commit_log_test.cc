@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/coding.h"
+#include "core/commit_record.h"
 #include "tests/test_util.h"
 
 namespace streamsi {
@@ -317,6 +318,155 @@ TEST_F(GroupCommitLogTest, TornCheckpointFallsBackToPreviousChain) {
   EXPECT_EQ(info.segments_replayed, 2u);  // full chain: nothing subsumed it
   EXPECT_EQ(replayed->at(0), 20u);
   EXPECT_EQ(replayed->at(1), 12u);  // old-chain-only group survives
+}
+
+/// Every segment file of the chain at `root`, with its size.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> SegmentSizes(
+    const std::string& root) {
+  std::vector<std::uint64_t> numbers;
+  EXPECT_TRUE(GroupCommitLog::ListSegmentsOnDisk(nullptr, root, &numbers).ok());
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> sizes;
+  for (std::uint64_t n : numbers) {
+    std::uint64_t size = 0;
+    EXPECT_TRUE(Env::Default()
+                    ->FileSize(GroupCommitLog::SegmentPath(root, n), &size)
+                    .ok());
+    sizes.emplace_back(n, size);
+  }
+  return sizes;
+}
+
+/// The cts of every commit record ReplayCommits hands out, in log order.
+std::vector<Timestamp> ReplayedCommitTs(const std::string& root,
+                                        std::uint64_t first_segment) {
+  std::vector<Timestamp> cts;
+  EXPECT_TRUE(GroupCommitLog::ReplayCommits(
+                  root, first_segment,
+                  [&](std::string_view payload) {
+                    CommitRecord record;
+                    STREAMSI_RETURN_NOT_OK(
+                        DecodeCommitRecord(payload, &record));
+                    cts.push_back(record.cts);
+                    return Status::OK();
+                  })
+                  .ok());
+  return cts;
+}
+
+std::vector<Timestamp> Range(Timestamp first, Timestamp last) {
+  std::vector<Timestamp> out;
+  for (Timestamp cts = first; cts <= last; ++cts) out.push_back(cts);
+  return out;
+}
+
+TEST_F(GroupCommitLogTest, RollsAtTheSegmentSizeAndReplaysEveryRecord) {
+  // Real roll size, 1 MiB records: 70 commits cross 64 MiB once.
+  const std::string blob(1 << 20, 'x');
+  constexpr Timestamp kCommits = 70;
+  {
+    GroupCommitLog log(SyncMode::kNone, 0);
+    ASSERT_TRUE(log.Open(Path()).ok());
+    const GroupId g0[] = {0};
+    for (Timestamp cts = 1; cts <= kCommits; ++cts) {
+      ASSERT_TRUE(log.RecordCommit(g0, 1, cts, /*sync=*/true, blob).ok());
+    }
+    EXPECT_EQ(log.current_segment(), 1u);
+    EXPECT_EQ(log.SegmentCount(), 2u);
+    ASSERT_TRUE(log.Close().ok());
+  }
+  const auto sizes = SegmentSizes(Path());
+  ASSERT_EQ(sizes.size(), 2u);
+  for (const auto& [n, size] : sizes) {
+    // One record past the limit at most: the crossing commit rolls.
+    EXPECT_LE(size, GroupCommitLog::kSegmentRollBytes + blob.size() + 64)
+        << "segment " << n;
+  }
+  EXPECT_GE(sizes[0].second, GroupCommitLog::kSegmentRollBytes);
+
+  GroupCommitLog::ReplayInfo info;
+  auto replayed = GroupCommitLog::Replay(Path(), &info);
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_EQ(replayed->at(0), kCommits);
+  EXPECT_EQ(info.segments_replayed, 2u);
+  EXPECT_EQ(info.committed_cts.size(), kCommits);
+  EXPECT_EQ(ReplayedCommitTs(Path(), info.first_segment), Range(1, kCommits));
+}
+
+TEST_F(GroupCommitLogTest, NoRollBetweenRotationAndCheckpointCut) {
+  // A roll inside the window would put the cut in a later segment than the
+  // rotation; replay starts at the cut's segment and would never read the
+  // commits logged between rotation and cut.
+  const std::string blob(1 << 20, 'y');
+  const GroupId g0[] = {0};
+  constexpr Timestamp kInWindow = 66;  // 66 MiB: past the roll size
+  {
+    GroupCommitLog log(SyncMode::kNone, 0);
+    ASSERT_TRUE(log.Open(Path()).ok());
+    ASSERT_TRUE(log.RotateSegment().ok());
+    for (Timestamp cts = 1; cts <= kInWindow; ++cts) {
+      ASSERT_TRUE(log.RecordCommit(g0, 1, cts, true, blob).ok());
+    }
+    EXPECT_EQ(log.current_segment(), 1u)
+        << "a size roll ran between rotation and cut";
+    const std::pair<GroupId, Timestamp> cut[] = {{0, 0}};
+    ASSERT_TRUE(log.WriteCheckpoint(cut, 1).ok());
+    ASSERT_TRUE(log.RecordCommit(g0, 1, kInWindow + 1, true, blob).ok());
+    EXPECT_EQ(log.current_segment(), 2u);  // rolls resumed after the cut
+    ASSERT_TRUE(log.PruneObsoleteSegments().ok());
+    ASSERT_TRUE(log.Close().ok());
+  }
+  GroupCommitLog::ReplayInfo info;
+  auto replayed = GroupCommitLog::Replay(Path(), &info);
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_TRUE(info.from_checkpoint);
+  EXPECT_EQ(replayed->at(0), kInWindow + 1);
+  EXPECT_EQ(ReplayedCommitTs(Path(), info.first_segment),
+            Range(1, kInWindow + 1));
+}
+
+TEST_F(GroupCommitLogTest, PruneKeepsTheCutSegmentAfterARoll) {
+  // A roll between the cut and the prune moves appends past the cut's
+  // segment; pruning "all but the current segment" would delete the cut
+  // and the commits logged after the rotation.
+  const std::string blob(1 << 20, 'z');
+  const GroupId g0[] = {0};
+  constexpr Timestamp kCommits = 66;
+  {
+    GroupCommitLog log(SyncMode::kNone, 0);
+    ASSERT_TRUE(log.Open(Path()).ok());
+    ASSERT_TRUE(log.RecordCommit(g0, 1, 1, true, blob).ok());
+    ASSERT_TRUE(log.RotateSegment().ok());
+    ASSERT_TRUE(log.RecordCommit(g0, 1, 2, true, blob).ok());
+    const std::pair<GroupId, Timestamp> cut[] = {{0, 1}};
+    ASSERT_TRUE(log.WriteCheckpoint(cut, 1).ok());
+    for (Timestamp cts = 3; cts <= kCommits; ++cts) {
+      ASSERT_TRUE(log.RecordCommit(g0, 1, cts, true, blob).ok());
+    }
+    EXPECT_EQ(log.current_segment(), 2u);
+    ASSERT_TRUE(log.PruneObsoleteSegments().ok());
+    EXPECT_FALSE(fsutil::FileExists(Path()));  // the pre-checkpoint chain
+    ASSERT_TRUE(log.Close().ok());
+  }
+  GroupCommitLog::ReplayInfo info;
+  auto replayed = GroupCommitLog::Replay(Path(), &info);
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_TRUE(info.from_checkpoint);
+  EXPECT_EQ(info.first_segment, 1u);
+  EXPECT_EQ(ReplayedCommitTs(Path(), info.first_segment), Range(2, kCommits));
+}
+
+TEST_F(GroupCommitLogTest, FailedCheckpointLetsRollsResume) {
+  const std::string blob(1 << 20, 'w');
+  const GroupId g0[] = {0};
+  GroupCommitLog log(SyncMode::kNone, 0);
+  ASSERT_TRUE(log.Open(Path()).ok());
+  ASSERT_TRUE(log.RotateSegment().ok());
+  log.AbandonCheckpoint();  // e.g. an image write failed
+  for (Timestamp cts = 1; cts <= 65; ++cts) {
+    ASSERT_TRUE(log.RecordCommit(g0, 1, cts, true, blob).ok());
+  }
+  EXPECT_EQ(log.current_segment(), 2u);
+  ASSERT_TRUE(log.Close().ok());
 }
 
 }  // namespace
